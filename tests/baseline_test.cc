@@ -82,6 +82,28 @@ TEST_P(BaselineSystemTest, WccAndKcoreMatchReferences) {
   }
 }
 
+TEST_P(BaselineSystemTest, ModeledCsvMatchesGolden) {
+  // Every program type on one layout; the goldens pin each system's modeled columns at
+  // one and four workers.
+  const EdgeList edges = Edges();
+  const VertexId source = PickSourceVertex(edges);
+  PartitionOptions popts;
+  popts.num_partitions = 8;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  for (const uint32_t workers : {1u, 4u}) {
+    BaselineOptions options = MakeOptions(GetParam());
+    options.engine.num_workers = workers;
+    BaselineExecutor executor(&pg, options);
+    for (const char* job : {"pagerank", "ppr", "sssp", "wcc", "bfs", "kcore", "scc", "khop"}) {
+      executor.AddJob(MakeProgram(job, source));
+    }
+    const std::string name = std::string("baseline_") + BaselineSystemName(GetParam()) +
+                             "_w" + std::to_string(workers) + ".csv";
+    const std::string csv = test_support::ModeledCsv(executor.Run());
+    EXPECT_EQ(csv, test_support::ReadGolden(name)) << name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, BaselineSystemTest,
                          ::testing::Values(BaselineSystem::kSequential,
                                            BaselineSystem::kSeraph,

@@ -24,8 +24,10 @@ EngineOptions SmallOptions() {
   return options;
 }
 
+EdgeList BaseEdges() { return test_support::FixedRmat(10, 8, 77); }
+
 std::unique_ptr<SnapshotStore> MakeStore(double change_ratio, size_t snapshots) {
-  const EdgeList edges = test_support::FixedRmat(10, 8, 77);
+  const EdgeList edges = BaseEdges();
   PartitionOptions popts;
   popts.num_partitions = 10;
   auto store =
@@ -113,6 +115,31 @@ TEST(SnapshotExecutorTest, PlainSeraphDuplicatesUnchangedPartitions) {
   const RunReport plain = seraph.Run();
   const RunReport vt = seraph_vt.Run();
   EXPECT_GT(plain.memory.disk_bytes, vt.memory.disk_bytes);
+}
+
+TEST(SnapshotExecutorTest, SeraphAndSeraphVtModeledCsvsMatchGoldens) {
+  // Full-copy versus shared-version snapshot storage under a tight memory tier: the
+  // goldens pin both systems' modeled columns at one and four workers.
+  auto store = MakeStore(0.05, 3);
+  const VertexId source = PickSourceVertex(BaseEdges());
+  for (const BaselineSystem system : {BaselineSystem::kSeraph, BaselineSystem::kSeraphVt}) {
+    for (const uint32_t workers : {1u, 4u}) {
+      BaselineOptions options;
+      options.system = system;
+      options.engine = TightMemoryOptions(*store, 2.0);
+      options.engine.num_workers = workers;
+      BaselineExecutor executor(&*store, options);
+      Timestamp submit_time = 0;
+      for (const char* job : {"pagerank", "ppr", "scc", "kcore"}) {
+        executor.AddJob(MakeProgram(job, source), submit_time);
+        submit_time += 10;
+      }
+      const std::string name = std::string("baseline_") + BaselineSystemName(system) +
+                               "_snapshots_w" + std::to_string(workers) + ".csv";
+      const std::string csv = test_support::ModeledCsv(executor.Run());
+      EXPECT_EQ(csv, test_support::ReadGolden(name)) << name;
+    }
+  }
 }
 
 TEST(SnapshotExecutorTest, CgraphBeatsSeraphVtOnSnapshots) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
+
+#include "src/metrics/csv_writer.h"
 
 namespace cgraph {
 namespace test_support {
@@ -27,6 +31,23 @@ void ExpectNearValues(const std::vector<double>& actual,
       EXPECT_NEAR(actual[v], expected[v], tolerance) << what << " vertex " << v;
     }
   }
+}
+
+std::string ModeledCsv(RunReport report) {
+  report.wall_seconds = 0.0;
+  for (JobStats& job : report.jobs) {
+    job.wall_seconds = 0.0;
+  }
+  return RunReportToCsv(report, CostModel{});
+}
+
+std::string ReadGolden(const std::string& name) {
+  const std::string path = std::string(CGRAPH_TEST_SRCDIR) + "/tests/golden/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
 }
 
 }  // namespace test_support

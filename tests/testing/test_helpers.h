@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/core/engine_options.h"
+#include "src/metrics/run_report.h"
 
 namespace cgraph {
 namespace test_support {
@@ -22,6 +23,14 @@ EngineOptions TestEngineOptions(uint64_t cache_kib = 64);
 void ExpectNearValues(const std::vector<double>& actual,
                       const std::vector<double>& expected, double tolerance,
                       const std::string& what);
+
+// The report's modeled CSV (RunReportToCsv under the default CostModel) with every
+// wall-clock field zeroed: the machine-independent form the committed goldens pin.
+std::string ModeledCsv(RunReport report);
+
+// Contents of tests/golden/<name> in the source tree; fails the calling test when the
+// file is missing.
+std::string ReadGolden(const std::string& name);
 
 }  // namespace test_support
 }  // namespace cgraph
