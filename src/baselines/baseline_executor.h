@@ -24,21 +24,34 @@
 //                 accumulated deltas) until quiescent, reducing global iteration counts
 //                 and hence total loaded volume — plus beyond-neighborhood stray reads
 //                 modeled as extra foreign-segment touches that damage its locality.
+//
+// The executor is a policy driver over the LTP engine's own layers: a JobManager admits
+// every job at Run(), and each baseline step charges the system's structure copy, runs
+// TriggerStage for the one job, applies CLIP's reentry and stray reads, then hands the
+// partition to PushStage. What the driver itself decides is only the policy: which
+// structure copy a job touches, the order each job walks partitions, and the Sequential
+// flush between jobs. Baselines run BSP only, with no fault injection or checkpoints.
 
 #ifndef SRC_BASELINES_BASELINE_EXECUTOR_H_
 #define SRC_BASELINES_BASELINE_EXECUTOR_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/cache/memory_hierarchy.h"
+#include "src/common/check.h"
+#include "src/common/thread_annotations.h"
 #include "src/core/engine_options.h"
 #include "src/core/job.h"
+#include "src/core/job_manager.h"
+#include "src/core/push_stage.h"
+#include "src/core/scheduler.h"
+#include "src/core/trigger_stage.h"
 #include "src/core/vertex_program.h"
 #include "src/metrics/run_report.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/runtime/thread_pool.h"
+#include "src/storage/global_table.h"
 #include "src/storage/snapshot_store.h"
 
 namespace cgraph {
@@ -79,28 +92,41 @@ class BaselineExecutor {
 
   RunReport Run();
 
-  const Job& job(JobId id) const { return *jobs_[id]; }
+  // Pre: Run() was called (jobs are admitted there).
+  const Job& job(JobId id) const {
+    CGRAPH_CHECK(ran_);
+    return manager_->job(id);
+  }
   const MemoryHierarchy& hierarchy() const { return *hierarchy_; }
 
+  // Value/aux of every global vertex, read from master replicas. Pre: Run() was called.
   std::vector<double> FinalValues(JobId id) const;
   std::vector<double> FinalAux(JobId id) const;
 
  private:
+  struct PendingJob {
+    std::unique_ptr<VertexProgram> program;
+    Timestamp submit_time = 0;
+  };
+
+  // Shared constructor target: the public constructors differ only in which of `graph`
+  // / `snapshots` is set.
+  BaselineExecutor(const BaselineOptions& options, const PartitionedGraph* graph,
+                   const SnapshotStore* snapshots);
+
   const PartitionedGraph& layout() const;
   // Structure item identity under this system's ownership/versioning policy.
   ItemKey StructureKey(const Job& job, PartitionId p) const;
   const GraphPartition& ResolveData(const Job& job, PartitionId p) const;
 
-  void InitJob(Job& job);
-  // Processes the job's next unprocessed active partition; pushes at iteration end.
-  // Returns false when the job has nothing left to do (finished).
-  bool StepJob(Job& job);
-  void ProcessPartitionForJob(Job& job, PartitionId p);
+  // Builds the engine layers, with one slot per job so every job runs concurrently,
+  // and admits all jobs.
+  void Start() CGRAPH_REQUIRES_DRIVER;
+  // Processes the job's next unprocessed active partition in its own traversal order;
+  // pushes at iteration end.
+  void StepJob(Job& job) CGRAPH_REQUIRES_DRIVER;
   void ReentryRounds(Job& job, PartitionId p, const GraphPartition& part);
-  void CollectMirrorRecords(Job& job, PartitionId p);
-  void PushJob(Job& job);
-  uint64_t RefreshActivity(Job& job, bool all_partitions, bool swap_buffers, bool initial);
-  void FinishJob(Job& job);
+  void StrayReads(Job& job, PartitionId p);
 
   const PartitionedGraph* graph_ = nullptr;
   const SnapshotStore* snapshots_ = nullptr;
@@ -108,7 +134,15 @@ class BaselineExecutor {
 
   std::unique_ptr<MemoryHierarchy> hierarchy_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<Job>> jobs_;
+  // Built by Start(), once the job count is known.
+  std::unique_ptr<GlobalTable> global_table_;
+  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<JobManager> manager_;
+  std::unique_ptr<TriggerStage> trigger_;
+  std::unique_ptr<PushStage> push_;
+  std::vector<PendingJob> pending_;
+  // The one-job trigger group handed to TriggerStage.
+  std::vector<Job*> group_;
   // Per-job traversal permutation ("different graph paths").
   std::vector<std::vector<PartitionId>> traversal_order_;
   // Per-job cursor into traversal_order_ for the current iteration.
@@ -116,7 +150,6 @@ class BaselineExecutor {
   // Distinct submit timestamps, sorted: plain Seraph materializes one full structure copy
   // per distinct snapshot.
   std::vector<Timestamp> snapshot_ordinals_;
-  double run_elapsed_ = 0.0;
   bool ran_ = false;
 };
 

@@ -10,7 +10,6 @@
 #include "src/cache/memory_hierarchy.h"
 #include "src/common/fault_injection.h"
 #include "src/metrics/cost_model.h"
-#include "src/partition/partition_quality.h"
 
 namespace cgraph {
 
@@ -91,11 +90,6 @@ struct EngineOptions {
   // up to whole 64-vertex bitmask words so chunk claiming stays word-aligned.
   uint32_t chunk_grain = 256;
 
-  // Frontier-aware trigger sweeps: scan the active bitmask word-at-a-time and skip 64
-  // inactive vertices per load. Disabled = the dense per-vertex Test() loop (ablation;
-  // modeled metrics are identical either way, only wall time differs).
-  bool sparse_trigger = true;
-
   // Per-vertex bookkeeping sweeps (job init, activity refresh) run through the thread
   // pool's batch dispatch when a partition has at least this many local vertices;
   // smaller partitions stay inline because dispatch would cost more than the sweep.
@@ -112,13 +106,6 @@ struct EngineOptions {
 
   // Capacity of the global table's per-partition job set.
   uint32_t max_jobs = 64;
-
-  // Edge-placement strategy the graph was (or should be) built with (CLI:
-  // --partitioner; see docs/partitioning.md). Partitioning happens at graph-build time,
-  // before the engine exists, so this field is record-keeping the CLI wires into
-  // PartitionOptions::partitioner — Report() sources the measured quality indices from
-  // PartitionedGraph::quality(), the layout's own record, not from here.
-  PartitionerKind partitioner = PartitionerKind::kEvenEdge;
 
   // Job-level admission: which due waiter a freed slot admits (CLI: --admission).
   AdmissionPolicyKind admission_policy = AdmissionPolicyKind::kFifo;
@@ -141,15 +128,6 @@ struct EngineOptions {
   // lifetime before folding into the profile. More buckets resolve frontier movement
   // finer at proportionally more profile memory. Must be > 0 under kPredict.
   uint32_t history_buckets = 8;
-
-  // Admission-time slot placement (CLI: --slot-pools): when > 1, the max_jobs slots are
-  // partitioned into this many contiguous pools and an admitted job joins the pool whose
-  // running cohort its (predicted, or initial-footprint) partition weights overlap most,
-  // taking the pool's lowest free slot. 1 (default) keeps the legacy placement
-  // (slot == job id when free, else lowest free slot), which FIFO bit-identity relies
-  // on. Placement affects only slot indices — and hence per-partition trigger order of
-  // co-registered jobs — never which job is admitted.
-  uint32_t slot_pools = 1;
 
   // Iteration model (CLI: --execution). kAsync only changes behavior for jobs whose
   // program declares monotonic() — everything else (and kBsp itself) is byte-identical
@@ -175,13 +153,6 @@ struct EngineOptions {
   // larger divisors widen deferral (more batching, more iteration stretch), 0 always
   // defers up to the staleness bound (fixed-window ablation).
   uint32_t async_defer_divisor = 1;
-
-  // Re-drain gate (kAsync, ablation): when non-zero, a partition is re-drained within
-  // the iteration only while its pre-sweep active count is at most this many vertices.
-  // Eligibility itself is the program's path_independent() trait — this knob only
-  // restricts *when* an eligible program drains, for ablating the eager flood against
-  // a tail-only one. 0 (default) always drains eligible programs.
-  uint32_t async_drain_limit = 0;
 
   // Safety valve against non-converging programs.
   uint64_t max_iterations_per_job = 10000;

@@ -144,26 +144,4 @@ double FootprintHistory::PredictOverlap(std::string_view program,
   return needed <= 0.0 ? 0.0 : shared / needed;
 }
 
-double FootprintHistory::OverlapWithSet(std::string_view program,
-                                        const std::vector<bool>& needed) const {
-  const Profile* profile = Find(program);
-  CGRAPH_CHECK(profile != nullptr);
-  CGRAPH_CHECK(needed.size() == num_partitions_);
-  // Lifetime weights up to a common positive factor (weight * buckets), which the
-  // ratio cancels — no per-partition profile lookups on the placement path.
-  double total = 0.0;
-  double shared = 0.0;
-  for (PartitionId p = 0; p < num_partitions_; ++p) {
-    double w = 0.0;
-    for (uint32_t b = 0; b < buckets_; ++b) {
-      w += profile->occupancy[static_cast<size_t>(b) * num_partitions_ + p];
-    }
-    total += w;
-    if (needed[p]) {
-      shared += w;
-    }
-  }
-  return total <= 0.0 ? 0.0 : shared / total;
-}
-
 }  // namespace cgraph

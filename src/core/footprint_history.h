@@ -95,13 +95,6 @@ class FootprintHistory {
   double PredictOverlap(std::string_view program,
                         std::span<const PredictedRunner> running) const;
 
-  // Overlap of the type's lifetime weights with an arbitrary partition set (admission-
-  // time slot placement scores candidate cohorts with this): sum of LifetimeWeight(p)
-  // over needed[p], normalized by the total lifetime weight. Pre: HasProfile(program),
-  // needed.size() == num_partitions(). Returns 0 for an all-idle cohort or a type whose
-  // profile never activates anything.
-  double OverlapWithSet(std::string_view program, const std::vector<bool>& needed) const;
-
  private:
   struct Profile {
     // Decayed sums; divide by weight for the mean. occupancy is buckets x partitions,

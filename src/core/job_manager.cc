@@ -65,8 +65,6 @@ JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
   CGRAPH_CHECK(scheduler != nullptr);
   // Zero slots would livelock the drive loop: a due waiter could never be admitted.
   CGRAPH_CHECK(options.max_jobs > 0);
-  // Zero pools would leave admitted jobs with no slot to land in.
-  CGRAPH_CHECK(options.slot_pools > 0);
   // Aging is the overlap/predict policies' starvation bound (a bounded overlap advantage
   // cannot outrank an unboundedly aged waiter); zero would reopen unbounded waits.
   if (options.admission_policy != AdmissionPolicyKind::kFifo) {
@@ -218,95 +216,22 @@ uint64_t JobManager::NextArrivalStep() const {
   return waiting_.front().arrival_step;
 }
 
-uint32_t JobManager::AllocateSlot(Job& job) {
+uint32_t JobManager::AllocateSlot(const Job& job) const {
   const uint32_t num_slots = static_cast<uint32_t>(slot_jobs_.size());
-  if (options_.slot_pools <= 1) {
-    // Prefer slot == id: in every legacy scenario (total jobs <= max_jobs) each job then
-    // lands on its own id even when an earlier job already finished, keeping registration
-    // bits — and hence RegisteredJobs order, rotation, and miss attribution — identical to
-    // the pre-layered engine. The fallback scan recycles freed slots for ids beyond the
-    // pool.
-    if (job.id_ < num_slots && slot_jobs_[job.id_] == nullptr) {
-      return job.id_;
-    }
-    for (uint32_t s = 0; s < num_slots; ++s) {
-      if (slot_jobs_[s] == nullptr) {
-        return s;
-      }
-    }
-    return Job::kInvalidSlot;
+  // Prefer slot == id: in every legacy scenario (total jobs <= max_jobs) each job then
+  // lands on its own id even when an earlier job already finished, keeping registration
+  // bits — and hence RegisteredJobs order, rotation, and miss attribution — identical to
+  // the pre-layered engine. The fallback scan recycles freed slots for ids beyond the
+  // pool.
+  if (job.id_ < num_slots && slot_jobs_[job.id_] == nullptr) {
+    return job.id_;
   }
-
-  // Admission-time placement: slots are split into contiguous pools; the job joins the
-  // pool whose running cohort's active partitions its own partition weights overlap
-  // most (ties toward the lowest pool, and an all-idle pool scores 0). Placement never
-  // rejects: any pool with a free slot is eligible, so a job is only turned away when
-  // every slot everywhere is busy.
-  const uint32_t pools = std::min(options_.slot_pools, num_slots);
-  uint32_t best_slot = Job::kInvalidSlot;
-  uint32_t best_pool = 0;
-  double best_score = -1.0;
-  for (uint32_t pool = 0; pool < pools; ++pool) {
-    const uint32_t lo = static_cast<uint32_t>(
-        static_cast<uint64_t>(pool) * num_slots / pools);
-    const uint32_t hi = static_cast<uint32_t>(
-        static_cast<uint64_t>(pool + 1) * num_slots / pools);
-    uint32_t free_slot = Job::kInvalidSlot;
-    bool any_member = false;
-    cohort_needed_.assign(layout_.num_partitions(), false);
-    for (uint32_t s = lo; s < hi; ++s) {
-      const Job* member = slot_jobs_[s];
-      if (member == nullptr) {
-        if (free_slot == Job::kInvalidSlot) {
-          free_slot = s;
-        }
-        continue;
-      }
-      any_member = true;
-      for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
-        if (member->active_count_[p] > 0) {
-          cohort_needed_[p] = true;
-        }
-      }
-    }
-    if (free_slot == Job::kInvalidSlot) {
-      continue;  // Pool full.
-    }
-    const double score = any_member ? PlacementScore(job, cohort_needed_) : 0.0;
-    if (score > best_score) {
-      best_score = score;
-      best_slot = free_slot;
-      best_pool = pool;
+  for (uint32_t s = 0; s < num_slots; ++s) {
+    if (slot_jobs_[s] == nullptr) {
+      return s;
     }
   }
-  if (best_slot != Job::kInvalidSlot) {
-    job.stats_.admit_pool = best_pool;
-  }
-  return best_slot;
-}
-
-double JobManager::PlacementScore(Job& job, const std::vector<bool>& needed) {
-  // Forecast weights when the job's type has history, the initial-footprint snapshot
-  // otherwise (computed on demand here — placement can run before any contended
-  // decision forced it).
-  if (history_ != nullptr && history_->HasProfile(job.stats_.job_name)) {
-    return history_->OverlapWithSet(job.stats_.job_name, needed);
-  }
-  if (job.footprint_.empty()) {
-    ComputeFootprint(job);
-  }
-  uint32_t total = 0;
-  uint32_t shared = 0;
-  for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
-    if (job.footprint_[p] == 0) {
-      continue;
-    }
-    ++total;
-    if (needed[p]) {
-      ++shared;
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(shared) / total;
+  return Job::kInvalidSlot;
 }
 
 void JobManager::InitJob(Job& job, uint32_t slot) {

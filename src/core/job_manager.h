@@ -22,7 +22,7 @@
 //   * Under the predict policy the manager doubles as the history feedback loop: the
 //     activation-tracing sets RefreshActivity computes are recorded per iteration on the
 //     job, folded into the FootprintHistory at completion, and consulted by the next
-//     admission decision (and, with slot_pools > 1, by admission-time slot placement).
+//     admission decision.
 
 #ifndef SRC_CORE_JOB_MANAGER_H_
 #define SRC_CORE_JOB_MANAGER_H_
@@ -209,15 +209,9 @@ class JobManager {
   // activation trace into the footprint history (skipped for failed/cancelled jobs,
   // whose partial traces would poison the per-type profiles).
   void FinalizeJob(Job& job) CGRAPH_REQUIRES_DRIVER;
-  // A free slot for `job`, or Job::kInvalidSlot when all are busy. With slot_pools == 1
-  // (default): the job's own id when available (legacy bit-identity), else the smallest
-  // free one. With slot_pools > 1: the lowest free slot of the pool whose running cohort
-  // the job's partition weights (history forecast, else initial footprint) overlap most
-  // — admission-time placement; records stats().admit_pool.
-  uint32_t AllocateSlot(Job& job) CGRAPH_REQUIRES_DRIVER;
-  // The placement score of `job` against the union of partitions currently active for
-  // a cohort (`needed`, one flag per partition).
-  double PlacementScore(Job& job, const std::vector<bool>& needed) CGRAPH_REQUIRES_DRIVER;
+  // A free slot for `job`, or Job::kInvalidSlot when all are busy: the job's own id when
+  // available (legacy bit-identity), else the smallest free one.
+  uint32_t AllocateSlot(const Job& job) const CGRAPH_REQUIRES_DRIVER_SHARED;
 
   // Fills job.footprint_ with per-partition initially-active vertex counts (the state
   // InitJob would build, without materializing a private table). Called lazily from
@@ -255,11 +249,10 @@ class JobManager {
   std::unique_ptr<AdmissionPolicy> policy_;
   // Allocated only when EngineOptions::checkpoint_every > 0; null = checkpointing off.
   std::unique_ptr<CheckpointStore> checkpoints_;
-  // AdmitDue's candidate/runner arenas and AllocateSlot's cohort mask, reused across
-  // calls (no per-admission allocation).
+  // AdmitDue's candidate/runner arenas, reused across calls (no per-admission
+  // allocation).
   std::vector<AdmissionPolicy::Candidate> candidates_ CGRAPH_GUARDED_BY_DRIVER;
   std::vector<PredictedRunner> runners_ CGRAPH_GUARDED_BY_DRIVER;
-  std::vector<bool> cohort_needed_ CGRAPH_GUARDED_BY_DRIVER;
   uint32_t running_ CGRAPH_GUARDED_BY_DRIVER = 0;
   double elapsed_seconds_ CGRAPH_GUARDED_BY_DRIVER = 0.0;
   uint64_t current_step_ CGRAPH_GUARDED_BY_DRIVER = 0;

@@ -13,8 +13,7 @@
 // ThreadPool::RunBatch — no per-task heap allocation anywhere on the path. Batches whose
 // jobs hold fewer than EngineOptions::parallel_trigger_threshold active vertices run
 // inline on the driver thread instead (dispatch would cost more than the sweep). Cost is
-// proportional to the frontier, not the partition; modeled metrics are identical to the
-// dense sweep (EngineOptions::sparse_trigger toggles it for ablation).
+// proportional to the frontier, not the partition.
 
 #ifndef SRC_CORE_TRIGGER_STAGE_H_
 #define SRC_CORE_TRIGGER_STAGE_H_
@@ -50,9 +49,8 @@ class TriggerStage {
   void TriggerBatch(PartitionId p, const GraphPartition& part, std::span<Job* const> batch)
       CGRAPH_REQUIRES_DRIVER;
 
-  // Sweeps words [word_begin, word_end) of `mask`, invoking Compute on each set bit (or
-  // the dense per-vertex loop under the ablation), and flushes the stat counters with
-  // atomic adds. `mask` is the job's partition-p active set on the normal trigger path
+  // Sweeps words [word_begin, word_end) of `mask`, invoking Compute on each set bit, and
+  // flushes the stat counters with atomic adds. `mask` is the job's partition-p active set on the normal trigger path
   // and the re-drain set on the async path. Returns the Compute calls issued.
   uint64_t ProcessWords(PartitionId p, const GraphPartition& part, Job* job,
                         const DynamicBitset& mask, size_t word_begin, size_t word_end) const;

@@ -58,6 +58,19 @@ class PrivateTable {
   std::vector<std::vector<VertexState>> partitions_;
 };
 
+// Readback of one state field (e.g. &VertexState::value) for every global vertex of
+// `layout`, taken from its master replica in `table`.
+inline std::vector<double> GatherMasterField(const PrivateTable& table,
+                                             const PartitionedGraph& layout,
+                                             double VertexState::*field) {
+  std::vector<double> values(layout.num_vertices(), 0.0);
+  for (VertexId v = 0; v < layout.num_vertices(); ++v) {
+    const ReplicaRef master = layout.master_of(v);
+    values[v] = table.partition(master.partition)[master.local].*field;
+  }
+  return values;
+}
+
 }  // namespace cgraph
 
 #endif  // SRC_STORAGE_PRIVATE_TABLE_H_

@@ -352,50 +352,6 @@ TEST(AdmissionPolicyEngineTest, PredictLearnsWithinARunAndFlagsForecastAdmission
   EXPECT_FALSE(traversal.stats().admit_scored);  // Lone candidate at its admission.
 }
 
-TEST(AdmissionPolicyEngineTest, SlotPoolPlacementJoinsTheOverlappingCohort) {
-  const EdgeList edges = GenerateErdosRenyi(250, 2000, 53);
-  const PartitionedGraph pg = Partition(edges, 6);
-
-  EngineOptions options = test_support::TestEngineOptions();
-  options.admission_policy = AdmissionPolicyKind::kPredict;
-  options.max_jobs = 4;
-  options.slot_pools = 2;  // Pools: slots {0, 1} and {2, 3}.
-  LtpEngine engine(&pg, options);
-  // Four full-coverage jobs: every later job overlaps every running cohort fully, so
-  // placement packs pool 0 first (ties and positive scores both resolve toward it),
-  // then spills to pool 1 when pool 0's slots are taken.
-  std::vector<LtpEngine::JobHandle> handles;
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(engine.Submit(std::make_unique<WccProgram>()));
-  }
-  for (const auto& h : handles) {
-    EXPECT_FALSE(h.done());  // All four admitted and running concurrently.
-  }
-  engine.RunUntilIdle();
-  EXPECT_EQ(handles[0].stats().admit_pool, 0u);  // Empty engine: first pool wins ties.
-  EXPECT_EQ(handles[1].stats().admit_pool, 0u);  // Joins the overlapping cohort.
-  EXPECT_EQ(handles[2].stats().admit_pool, 1u);  // Pool 0 full.
-  EXPECT_EQ(handles[3].stats().admit_pool, 1u);
-  for (const auto& h : handles) {
-    EXPECT_TRUE(h.done());
-  }
-
-  // Placement is a pure function of modeled state: repeated runs are identical.
-  auto run_waits = [&]() {
-    LtpEngine e(&pg, options);
-    for (int i = 0; i < 6; ++i) {
-      e.SubmitAt(std::make_unique<WccProgram>(), static_cast<uint64_t>(2 * i));
-    }
-    e.RunUntilIdle();
-    std::vector<std::pair<uint64_t, uint32_t>> out;
-    for (JobId id = 0; id < e.num_jobs(); ++id) {
-      out.emplace_back(e.job(id).stats().wait_steps, e.job(id).stats().admit_pool);
-    }
-    return out;
-  };
-  EXPECT_EQ(run_waits(), run_waits());
-}
-
 TEST(AdmissionPolicyEngineTest, PredictWithDistinctTypesMatchesOverlapSchedule) {
   const EdgeList edges = GenerateErdosRenyi(400, 3600, 67);
   const VertexId source = PickSourceVertex(edges);

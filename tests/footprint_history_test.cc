@@ -142,18 +142,6 @@ TEST(FootprintHistoryTest, PredictOverlapProjectsRunnersThroughTheirProfiles) {
   EXPECT_DOUBLE_EQ(history.PredictOverlap("w", {}), 0.0);
 }
 
-TEST(FootprintHistoryTest, OverlapWithSetWeighsByLifetime) {
-  FootprintHistory history(/*num_partitions=*/3, /*buckets=*/4, /*decay=*/0.5);
-  // Partition 0 active for the whole lifetime, partition 1 for the last quarter.
-  history.RecordCompletion("t", Trace{{0}, {0}, {0}, {0, 1}}, 4);
-  std::vector<bool> needs_p0 = {true, false, false};
-  std::vector<bool> needs_p1 = {false, true, false};
-  std::vector<bool> nothing = {false, false, false};
-  EXPECT_DOUBLE_EQ(history.OverlapWithSet("t", needs_p0), 1.0 / 1.25);
-  EXPECT_DOUBLE_EQ(history.OverlapWithSet("t", needs_p1), 0.25 / 1.25);
-  EXPECT_DOUBLE_EQ(history.OverlapWithSet("t", nothing), 0.0);
-}
-
 // --- Engine integration: history is fed by real completions, deterministically -------
 
 PartitionedGraph Partition(const EdgeList& edges, uint32_t parts) {

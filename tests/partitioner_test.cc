@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -269,14 +268,6 @@ std::string StripWallColumn(const std::string& csv) {
   return out.str();
 }
 
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path;
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
 // Reproduces the exact pre-PR CLI workload (--rmat=10,8,3 --jobs=pagerank,sssp,wcc,
 // kcore --partitions=8) whose modeled CSV was captured before the partitioner layer
 // existed. The default even_edge strategy must reproduce it byte-for-byte — the
@@ -296,9 +287,8 @@ TEST(EvenEdgeByteIdentityTest, ModeledCsvMatchesPrePartitionerGolden) {
     }
     engine.RunUntilIdle();
     const std::string csv = StripWallColumn(RunReportToCsv(engine.Report(), CostModel{}));
-    const std::string golden = ReadFileOrDie(
-        std::string(CGRAPH_TEST_SRCDIR) + "/tests/golden/even_edge_rmat10_w" +
-        std::to_string(workers) + ".csv");
+    const std::string golden = test_support::ReadGolden(
+        "even_edge_rmat10_w" + std::to_string(workers) + ".csv");
     EXPECT_EQ(csv, golden) << "workers=" << workers;
   }
 }

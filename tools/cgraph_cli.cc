@@ -6,12 +6,11 @@
 //               seraph|seraph-vt|nxgraph|clip]
 //              [--partitions=N] [--partitioner=even_edge|hash_source|greedy|degree]
 //              [--workers=N] [--source=V] [--csv=PATH]
-//              [--theta-scale=X] [--no-straggler] [--dense-trigger] [--chunk-grain=N]
+//              [--theta-scale=X] [--no-straggler] [--chunk-grain=N]
 //              [--sweep-threshold=N] [--arrivals=NAME@STEP[,NAME@STEP...]]
 //              [--admission=fifo|overlap|predict] [--aging=X] [--max-jobs=N]
 //              [--execution=bsp|async] [--staleness=N] [--defer-divisor=N]
-//              [--drain-limit=N]
-//              [--history-decay=X] [--history-buckets=N] [--slot-pools=N]
+//              [--history-decay=X] [--history-buckets=N]
 //              [--trigger-threshold=N]
 //              [--serve] [--trace-jobs=N] [--trace-pattern=uniform|bursty|diurnal]
 //              [--trace-seed=N] [--trace-gap=N] [--trace-burst=N] [--trace-sources=N]
@@ -83,22 +82,19 @@ struct CliOptions {
   uint32_t partitions = 16;
   PartitionerKind partitioner = PartitionerKind::kEvenEdge;
   uint32_t workers = 4;
-  VertexId source = kInvalidVertex;  // Default: highest out-degree vertex.
+  VertexId source = kInvalidVertex;  // Default: lowest positive out-degree vertex.
   double theta_scale = 1.0;
   bool straggler_split = true;
-  bool sparse_trigger = true;
   uint32_t chunk_grain = 0;       // 0 = engine default.
   int64_t sweep_threshold = -1;   // < 0 = engine default.
   AdmissionPolicyKind admission = AdmissionPolicyKind::kFifo;
   ExecutionMode execution = ExecutionMode::kBsp;
   int64_t staleness = -1;         // < 0 = engine default.
   int64_t defer_divisor = -1;     // < 0 = engine default.
-  int64_t drain_limit = -1;       // < 0 = engine default.
   double aging = -1.0;            // < 0 = engine default.
   uint32_t max_jobs = 0;          // 0 = engine default.
   double history_decay = -1.0;    // < 0 = engine default.
   uint32_t history_buckets = 0;   // 0 = engine default.
-  uint32_t slot_pools = 0;        // 0 = engine default.
   int64_t trigger_threshold = -1; // < 0 = engine default.
   std::string csv_path;
   bool help = false;
@@ -224,8 +220,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
     } else if (arg == "--no-straggler") {
       options->straggler_split = false;
-    } else if (arg == "--dense-trigger") {
-      options->sparse_trigger = false;
     } else if (match("--sweep-threshold=")) {
       uint64_t threshold = 0;
       if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
@@ -268,15 +262,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->defer_divisor = static_cast<int64_t>(divisor);
-    } else if (match("--drain-limit=")) {
-      uint64_t limit = 0;
-      if (!ParseUint64(value, &limit) || limit > 0xFFFFFFFFu) {
-        std::fprintf(stderr,
-                     "error: --drain-limit expects an active-vertex count in "
-                     "[0, 4294967295] (0 = always re-drain)\n");
-        return false;
-      }
-      options->drain_limit = static_cast<int64_t>(limit);
     } else if (match("--aging=")) {
       char* end = nullptr;
       options->aging = std::strtod(value, &end);
@@ -306,13 +291,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->history_buckets = static_cast<uint32_t>(buckets);
-    } else if (match("--slot-pools=")) {
-      uint64_t pools = 0;
-      if (!ParseUint64(value, &pools) || pools == 0 || pools > 0xFFFFu) {
-        std::fprintf(stderr, "error: --slot-pools expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->slot_pools = static_cast<uint32_t>(pools);
     } else if (match("--arrivals=")) {
       for (const auto piece : SplitNonEmpty(value, ",")) {
         const size_t at = piece.find('@');
@@ -444,9 +422,6 @@ bool IsKnownJob(const std::string& name) {
   return false;
 }
 
-// Parseable execution-mode summary (consumed by tools/run_bench.sh): which iteration
-// model actually applied, per docs/execution_modes.md — async_jobs counts jobs that ran
-// under the relaxed model (monotonic programs with a non-degenerate staleness window).
 // Parseable layout-quality summary (consumed by tools/run_bench.sh; index definitions
 // in docs/partitioning.md). Printed for every system: the indices describe the graph
 // layout, which baselines share with the cgraph systems.
@@ -458,6 +433,9 @@ void PrintPartitionLine(const PartitionQuality& q) {
       static_cast<unsigned long long>(q.mirror_count), q.edge_balance, q.vertex_balance);
 }
 
+// Parseable execution-mode summary (consumed by tools/run_bench.sh): which iteration
+// model actually applied, per docs/execution_modes.md — async_jobs counts jobs that ran
+// under the relaxed model (monotonic programs with a non-degenerate staleness window).
 void PrintExecutionLine(const RunReport& report, const EngineOptions& engine_options) {
   size_t async_jobs = 0;
   uint64_t redrain = 0;
@@ -553,8 +531,6 @@ void PrintUsage() {
       "                        a localized footprint; pass a hub id to fan out wide)\n"
       "  --theta-scale=X       scale Eq. 1's theta in [0,1] (default 1; 0 = pure N(P))\n"
       "  --no-straggler        disable straggler splitting (one task per job)\n"
-      "  --dense-trigger       disable frontier-aware sweeps (dense per-vertex loop;\n"
-      "                        ablation — modeled metrics are identical either way)\n"
       "  --chunk-grain=N       vertices per stolen work chunk (default 256)\n"
       "  --sweep-threshold=N   min partition vertices before bookkeeping sweeps use the\n"
       "                        thread pool (default 8192; 0 always parallel)\n"
@@ -582,16 +558,10 @@ void PrintUsage() {
       "  --defer-divisor=N     async adaptive-deferral heat threshold: a boundary only\n"
       "                        defers while fresh master records >= replicated/N\n"
       "                        (default 1; 0 = always defer up to the staleness bound)\n"
-      "  --drain-limit=N       async re-drain gate: drain a partition only when its\n"
-      "                        active count is <= N (default 0 = always drain eligible\n"
-      "                        programs)\n"
       "  --history-decay=X     footprint-history decay in [0,1] (default 0.5): profile\n"
       "                        contributions are scaled by X before each new completion\n"
       "                        folds in (1 = plain mean, 0 = latest job only)\n"
       "  --history-buckets=N   lifetime buckets of the occupancy profile (default 8)\n"
-      "  --slot-pools=N        admission-time placement: partition the slots into N\n"
-      "                        pools and admit each job into the pool its predicted\n"
-      "                        footprint overlaps most (default 1 = legacy placement)\n"
       "  --trigger-threshold=N min active vertices in a trigger batch before it\n"
       "                        dispatches through the thread pool (default 4096;\n"
       "                        0 always dispatches)\n"
@@ -753,14 +723,12 @@ int main(int argc, char** argv) {
   engine_options.num_workers = options.workers;
   engine_options.theta_scale = options.theta_scale;
   engine_options.straggler_split = options.straggler_split;
-  engine_options.sparse_trigger = options.sparse_trigger;
   if (options.chunk_grain > 0) {
     engine_options.chunk_grain = options.chunk_grain;
   }
   if (options.sweep_threshold >= 0) {
     engine_options.parallel_sweep_threshold = static_cast<uint32_t>(options.sweep_threshold);
   }
-  engine_options.partitioner = options.partitioner;
   engine_options.admission_policy = options.admission;
   engine_options.execution_mode = options.execution;
   if (options.staleness >= 0) {
@@ -768,9 +736,6 @@ int main(int argc, char** argv) {
   }
   if (options.defer_divisor >= 0) {
     engine_options.async_defer_divisor = static_cast<uint32_t>(options.defer_divisor);
-  }
-  if (options.drain_limit >= 0) {
-    engine_options.async_drain_limit = static_cast<uint32_t>(options.drain_limit);
   }
   if (options.aging > 0.0) {
     engine_options.admission_aging = options.aging;
@@ -783,9 +748,6 @@ int main(int argc, char** argv) {
   }
   if (options.history_buckets > 0) {
     engine_options.history_buckets = options.history_buckets;
-  }
-  if (options.slot_pools > 0) {
-    engine_options.slot_pools = options.slot_pools;
   }
   if (options.trigger_threshold >= 0) {
     engine_options.parallel_trigger_threshold =
