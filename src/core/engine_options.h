@@ -79,16 +79,12 @@ struct EngineOptions {
   bool use_scheduler = true;
 
   // Ablation: scales Eq. 1's theta (0 drops the D(P)*C(P) term entirely, leaving pure
-  // N(P) ordering; 1 is the paper's setting).
+  // N(P) ordering; 1 is the paper's setting). Must be in [0, 1].
   double theta_scale = 1.0;
 
   // Straggler splitting: dynamic chunk stealing within a partition trigger (Fig. 6).
   // Disabled = one task per (job, partition).
   bool straggler_split = true;
-
-  // Vertices per work chunk when straggler splitting is on. The trigger stage rounds this
-  // up to whole 64-vertex bitmask words so chunk claiming stays word-aligned.
-  uint32_t chunk_grain = 256;
 
   // Per-vertex bookkeeping sweeps (job init, activity refresh) run through the thread
   // pool's batch dispatch when a partition has at least this many local vertices;
@@ -116,18 +112,6 @@ struct EngineOptions {
   // overtaking, hence no starvation (total wait still depends on how long slot-holders
   // run). Must be > 0 under kOverlap/kPredict; ignored under kFifo.
   double admission_aging = 1.0 / 256.0;
-
-  // Footprint-history decay (CLI: --history-decay): each program type's occupancy
-  // profile is a decayed mean over its completed jobs — prior contributions are scaled
-  // by this factor before a new job folds in. 1 = plain mean over all history, 0 = only
-  // the most recent job. Must be in [0, 1]; consulted under kPredict.
-  double history_decay = 0.5;
-
-  // Lifetime buckets of the occupancy profile (CLI: --history-buckets): each completed
-  // job's per-iteration partition trace is normalized onto this many equal slices of its
-  // lifetime before folding into the profile. More buckets resolve frontier movement
-  // finer at proportionally more profile memory. Must be > 0 under kPredict.
-  uint32_t history_buckets = 8;
 
   // Iteration model (CLI: --execution). kAsync only changes behavior for jobs whose
   // program declares monotonic() — everything else (and kBsp itself) is byte-identical

@@ -18,6 +18,12 @@ namespace {
 // DynamicBitset::Set calls from different chunks always land in disjoint words.
 constexpr size_t kSweepGrain = 4096;
 
+// Footprint-history shape under the predict policy (src/core/footprint_history.h): each
+// completed job's partition trace folds onto 8 lifetime buckets, and prior history is
+// halved before each new completion folds in.
+constexpr uint32_t kHistoryBuckets = 8;
+constexpr double kHistoryDecay = 0.5;
+
 // Runs body(begin, end) over disjoint subranges covering [0, n): inline below
 // `threshold` (dispatch would cost more than the sweep), otherwise through the pool's
 // allocation-free batch primitive in word-aligned chunks.
@@ -52,13 +58,11 @@ JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
                        Scheduler* scheduler, ThreadPool* pool, const EngineOptions& options)
     : layout_(layout), table_(table), scheduler_(scheduler), pool_(pool), options_(options),
       slot_jobs_(options.max_jobs, nullptr),
-      // The history subsystem exists only for policies that consume it: fifo/overlap
-      // skip the allocation and the constructor's knob validation entirely (so e.g.
-      // history_buckets = 0 is only rejected where it would matter).
+      // The history subsystem exists only for the policy that consumes it: fifo/overlap
+      // skip the allocation entirely.
       history_(options.admission_policy == AdmissionPolicyKind::kPredict
                    ? std::make_unique<FootprintHistory>(layout.num_partitions(),
-                                                        options.history_buckets,
-                                                        options.history_decay)
+                                                        kHistoryBuckets, kHistoryDecay)
                    : nullptr),
       policy_(MakeAdmissionPolicy(options, history_.get())) {
   CGRAPH_CHECK(table != nullptr);

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 
+#include "src/common/check.h"
+
 namespace cgraph {
 
 Scheduler::Scheduler(const PartitionedGraph& graph, bool use_priorities, double theta_scale)
     : use_priorities_(use_priorities) {
+  // A NaN scale would survive a clamp and poison every priority, so PickNext never picks.
+  CGRAPH_CHECK(theta_scale >= 0.0 && theta_scale <= 1.0);
   const uint32_t parts = graph.num_partitions();
   avg_degree_.resize(parts);
   state_change_.assign(parts, 1.0);  // Everything changes in iteration 0.
@@ -17,7 +21,7 @@ Scheduler::Scheduler(const PartitionedGraph& graph, bool use_priorities, double 
   // C(P) is a fraction in [0, 1], so C_max = 1; theta < 1 / (D_max * C_max) guarantees
   // the N(P) term strictly dominates.
   theta_ = d_max > 0.0 ? 0.99 / d_max : 0.0;
-  theta_ *= std::clamp(theta_scale, 0.0, 1.0);
+  theta_ *= theta_scale;
 }
 
 void Scheduler::SetStateChange(PartitionId p, double active_fraction) {

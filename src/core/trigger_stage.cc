@@ -7,6 +7,14 @@
 
 namespace cgraph {
 
+namespace {
+
+// Straggler chunks are claimed in whole bitmask words, so a grain never straddles a word
+// and the sparse scan needs no partial-word masking: 4 words = 256 vertices per chunk.
+constexpr size_t kGrainWords = 4;
+
+}  // namespace
+
 TriggerStage::TriggerStage(ThreadPool* pool, MemoryHierarchy* hierarchy,
                            const EngineOptions& options)
     : pool_(pool), hierarchy_(hierarchy), options_(options) {
@@ -78,11 +86,6 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
       return;
     }
   }
-  // Chunks are claimed in whole bitmask words so a grain never straddles a word and the
-  // sparse scan needs no partial-word masking.
-  const size_t grain_words =
-      std::max<size_t>(1, (std::max<uint32_t>(1, options_.chunk_grain) + 63) / 64);
-
   if (options_.straggler_split) {
     // Every worker can steal chunks of any job in the batch: the straggler's remaining
     // vertices are consumed by whichever cores come free (Fig. 6). Cursors live in the
@@ -91,7 +94,7 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
     for (uint32_t j = 0; j < batch.size(); ++j) {
       cursors_[j].store(0, std::memory_order_relaxed);
       const size_t tasks_for_job =
-          std::min<size_t>(options_.num_workers, n_words / grain_words + 1);
+          std::min<size_t>(options_.num_workers, n_words / kGrainWords + 1);
       task_slot_.insert(task_slot_.end(), tasks_for_job, j);
     }
     pool_->RunBatch(task_slot_.size(), [&](size_t task) {
@@ -99,12 +102,12 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
       Job* const job = batch[j];
       std::atomic<size_t>& cursor = cursors_[j];
       while (true) {
-        const size_t begin = cursor.fetch_add(grain_words, std::memory_order_relaxed);
+        const size_t begin = cursor.fetch_add(kGrainWords, std::memory_order_relaxed);
         if (begin >= n_words) {
           return;
         }
         ProcessWords(p, part, job, job->active_[p], begin,
-                     std::min(begin + grain_words, n_words));
+                     std::min(begin + kGrainWords, n_words));
       }
     });
   } else {

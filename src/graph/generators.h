@@ -14,7 +14,7 @@
 namespace cgraph {
 
 struct RmatOptions {
-  uint32_t scale = 14;        // num_vertices = 2^scale
+  uint32_t scale = 14;        // num_vertices = 2^scale; must be < 32
   uint32_t edge_factor = 16;  // num_edges = edge_factor * num_vertices
   double a = 0.57;
   double b = 0.19;

@@ -1,51 +1,23 @@
 // cgraph_cli — run concurrent iterative graph jobs from the command line.
 //
-// Usage:
-//   cgraph_cli [--graph=FILE | --rmat=SCALE,EDGE_FACTOR[,SEED]]
-//              [--jobs=NAME[,NAME...]] [--system=cgraph|cgraph-without|sequential|
-//               seraph|seraph-vt|nxgraph|clip]
-//              [--partitions=N] [--partitioner=even_edge|hash_source|greedy|degree]
-//              [--workers=N] [--source=V] [--csv=PATH]
-//              [--theta-scale=X] [--no-straggler] [--chunk-grain=N]
-//              [--sweep-threshold=N] [--arrivals=NAME@STEP[,NAME@STEP...]]
-//              [--admission=fifo|overlap|predict] [--aging=X] [--max-jobs=N]
-//              [--execution=bsp|async] [--staleness=N] [--defer-divisor=N]
-//              [--history-decay=X] [--history-buckets=N]
-//              [--trigger-threshold=N]
-//              [--serve] [--trace-jobs=N] [--trace-pattern=uniform|bursty|diurnal]
-//              [--trace-seed=N] [--trace-gap=N] [--trace-burst=N] [--trace-sources=N]
-//              [--trace-file=PATH] [--trace-out=PATH] [--queue-bound=N]
-//              [--deadline-steps=N] [--no-coalesce]
-//              [--inject-fault=KIND@STEP[:JOB],...] [--fault-seed=N]
-//              [--checkpoint-every=N] [--job-step-budget=N]
-//              [--retry-limit=N] [--retry-backoff=N] [--values-out=PATH]
-//
-// Job names: pagerank, sssp, scc, bfs, wcc, kcore, ppr, khop.
-// Default: --rmat=12,8 --jobs=pagerank,sssp,scc,bfs --system=cgraph.
-// --arrivals submits extra jobs online, each after STEP partition-scheduling steps
-// (cgraph systems only — the baselines have no runtime-admission path).
-// --admission selects the job-level admission policy consulted whenever a concurrency
-// slot (bounded by --max-jobs) frees up; see docs/scheduling.md.
-// --execution selects the iteration model (cgraph systems only): bsp (default,
-// deterministic oracle) or async (bounded-staleness execution for monotonic programs —
-// every requested job must be monotonic); see docs/execution_modes.md.
-// --serve switches to graph-service daemon mode (cgraph systems only): generates or
-// replays an arrival trace of --trace-jobs requests over the --jobs program mix and
-// drives it through the ServiceDriver with query fan-in, a bounded queue, and optional
-// queue-wait deadlines; see docs/service.md.
-// --inject-fault arms the deterministic fault-injection harness, --checkpoint-every
-// enables iteration-boundary checkpoints, and --retry-limit turns on the daemon's
-// retry-with-backoff policy; see docs/robustness.md.
+// `cgraph_cli --help` lists every flag with its scope and default. Flags() below is the
+// one table behind both the parser and that listing: each row names a flag, how its
+// value parses, the option field it writes, and which runs it applies to.
 //
 // Prints a per-job report table (cgraph systems add parseable "admission:" and
-// "execution:" summary lines; --serve adds a parseable "service:" line; fault
-// injection / checkpointing add a parseable "robustness:" line); --csv additionally
-// writes machine-readable rows.
+// "execution:" summary lines; --serve replaces the table with a parseable "service:"
+// line; fault injection / checkpointing add a parseable "robustness:" line); --csv
+// additionally writes machine-readable rows. Exit codes: 0 ok, 2 usage error, 1 file
+// error.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/algorithms/factory.h"
@@ -71,355 +43,390 @@ struct ArrivalSpec {
   uint64_t step = 0;
 };
 
+// Everything the flags write. Engine, partition, service and trace settings live in the
+// library option structs that consume them, so each default is stated once, there; the
+// initializers here are the CLI's own defaults (a smaller R-MAT graph, 16 partitions).
 struct CliOptions {
-  std::string graph_path;
-  uint32_t rmat_scale = 12;
-  uint32_t rmat_edge_factor = 8;
-  uint64_t rmat_seed = 1;
-  std::vector<std::string> jobs = {"pagerank", "sssp", "scc", "bfs"};
-  std::vector<ArrivalSpec> arrivals;
-  std::string system = "cgraph";
-  uint32_t partitions = 16;
-  PartitionerKind partitioner = PartitionerKind::kEvenEdge;
-  uint32_t workers = 4;
-  VertexId source = kInvalidVertex;  // Default: lowest positive out-degree vertex.
-  double theta_scale = 1.0;
-  bool straggler_split = true;
-  uint32_t chunk_grain = 0;       // 0 = engine default.
-  int64_t sweep_threshold = -1;   // < 0 = engine default.
-  AdmissionPolicyKind admission = AdmissionPolicyKind::kFifo;
-  ExecutionMode execution = ExecutionMode::kBsp;
-  int64_t staleness = -1;         // < 0 = engine default.
-  int64_t defer_divisor = -1;     // < 0 = engine default.
-  double aging = -1.0;            // < 0 = engine default.
-  uint32_t max_jobs = 0;          // 0 = engine default.
-  double history_decay = -1.0;    // < 0 = engine default.
-  uint32_t history_buckets = 0;   // 0 = engine default.
-  int64_t trigger_threshold = -1; // < 0 = engine default.
-  std::string csv_path;
+  CliOptions() {
+    rmat.scale = 12;
+    rmat.edge_factor = 8;
+    partition.num_partitions = 16;
+  }
+
   bool help = false;
-  // Service-daemon mode (--serve): replay an arrival trace through the ServiceDriver
-  // instead of a one-shot batch; see docs/service.md.
+  std::string graph_path;
+  RmatOptions rmat;
+  std::vector<std::string> jobs = {"pagerank", "sssp", "scc", "bfs"};
+  std::string system = "cgraph";
+  PartitionOptions partition;
+  EngineOptions engine;
+  VertexId source = kInvalidVertex;  // Unset: the lowest positive out-degree vertex.
+  std::vector<ArrivalSpec> arrivals;
+  std::string csv_path;
+  std::string values_out;  // Final converged values of completed jobs.
+  // Service-daemon mode (docs/service.md).
   bool serve = false;
-  uint64_t trace_jobs = 1000;
-  ArrivalPattern trace_pattern = ArrivalPattern::kUniform;
-  uint64_t trace_seed = 42;
-  uint64_t trace_gap = 4;
-  uint64_t trace_burst = 16;
-  uint64_t trace_sources = 8;
-  std::string trace_file;  // Replay this trace file instead of generating.
-  std::string trace_out;   // Save the generated trace here.
-  uint64_t queue_bound = 64;     // 0 = unbounded.
-  uint64_t deadline_steps = 0;   // 0 = no deadlines.
-  bool coalesce = true;
-  // Robustness knobs (docs/robustness.md).
-  std::vector<FaultSpec> fault_specs;  // --inject-fault, cgraph systems only.
-  uint64_t fault_seed = 42;
-  uint64_t checkpoint_every = 0;   // 0 = checkpointing off.
-  uint64_t job_step_budget = 0;    // 0 = no execution budgets.
-  uint64_t retry_limit = 0;        // --serve only; 0 = no retries.
-  uint64_t retry_backoff = 8;      // --serve only; doubled per attempt.
-  bool retry_backoff_set = false;  // For the "--retry-backoff without --serve" check.
-  std::string values_out;          // Final converged values of completed jobs.
+  ServiceOptions service;
+  TraceGenOptions trace;
+  uint64_t trace_sources = 8;  // Size of the source pool PickSourcePool fills trace.sources from.
+  std::string trace_file;      // Replay this trace file instead of generating.
+  std::string trace_out;       // Save the generated trace here.
 };
 
-constexpr const char* kKnownSystems[] = {"cgraph", "cgraph-without", "sequential",
-                                         "seraph", "seraph-vt",      "nxgraph",
-                                         "clip"};
+bool IsCgraphSystem(std::string_view system) {
+  return system == "cgraph" || system == "cgraph-without";
+}
 
-bool IsKnownSystem(const std::string& name) {
-  for (const char* known : kKnownSystems) {
-    if (name == known) {
+bool ParseBaselineSystem(std::string_view name, BaselineSystem* out) {
+  for (const BaselineSystem system :
+       {BaselineSystem::kSequential, BaselineSystem::kSeraph, BaselineSystem::kSeraphVt,
+        BaselineSystem::kNxgraph, BaselineSystem::kClip}) {
+    if (name == BaselineSystemName(system)) {
+      *out = system;
       return true;
     }
   }
   return false;
 }
 
+constexpr std::string_view kKnownJobs[] = {"pagerank", "sssp", "scc", "bfs",
+                                           "wcc",      "kcore", "ppr", "khop"};
+
+bool IsKnownJob(std::string_view name) {
+  return std::find(std::begin(kKnownJobs), std::end(kKnownJobs), name) !=
+         std::end(kKnownJobs);
+}
+
+// Which runs a flag applies to. A flag given outside its scope is a usage error rather
+// than silently ignored.
+enum class Scope : uint8_t {
+  kAny,     // Every system: input graph, layout, the shared trigger stage, reporting.
+  kCgraph,  // --system=cgraph|cgraph-without: admission, execution model, robustness.
+  kServe,   // --serve (itself cgraph-only): the arrival trace and daemon policies.
+};
+
+// One row of the flag table.
+struct Flag {
+  const char* name;     // "--partitions".
+  const char* metavar;  // "N", "PATH", "fifo|overlap|predict"; "" for a switch.
+  Scope scope;
+  const char* help;
+  std::string expects;       // Completes "error: --flag expects ..." on a bad value.
+  std::string default_text;  // The target's value when the table was built; "" hides it.
+  std::function<bool(const char* value)> parse;  // Writes the target; false = bad value.
+};
+
+// The value kinds. Each builder reads the target's current value for default_text, so
+// a table built over a default-constructed CliOptions reports the defaults.
+
+Flag Switch(const char* name, bool* field, bool value, Scope scope, const char* help) {
+  return {name, "", scope, help, "", "", [field, value](const char*) {
+            *field = value;
+            return true;
+          }};
+}
+
+Flag Text(const char* name, std::string* field, Scope scope, const char* help) {
+  return {name, "PATH", scope, help, "", *field, [field](const char* value) {
+            *field = value;
+            return true;
+          }};
+}
+
+// An unsigned integer in [lo, hi]. A current value outside that range is a sentinel
+// ("computed when unset") and is not shown as a default.
+template <typename T>
+Flag Count(const char* name, T* field, Scope scope, const char* help, uint64_t lo = 0,
+           uint64_t hi = std::numeric_limits<T>::max()) {
+  const uint64_t current = *field;
+  return {name, "N", scope, help,
+          "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
+          current >= lo && current <= hi ? std::to_string(current) : "",
+          [field, lo, hi](const char* value) {
+            uint64_t parsed = 0;
+            if (!ParseUint64(value, &parsed) || parsed < lo || parsed > hi) {
+              return false;
+            }
+            *field = static_cast<T>(parsed);
+            return true;
+          }};
+}
+
+std::string FormatReal(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return buf;
+}
+
+// A finite double in [lo, hi], or (lo, hi] when lo_open. NaN and infinities fail every
+// range comparison, so they are rejected explicitly rather than slipping through one.
+Flag Real(const char* name, double* field, Scope scope, const char* help, double lo,
+          double hi, bool lo_open = false) {
+  return {name, "X", scope, help,
+          std::string("a finite number in ") + (lo_open ? "(" : "[") + FormatReal(lo) +
+              ", " + FormatReal(hi) + (std::isinf(hi) ? ")" : "]"),
+          FormatReal(*field), [field, lo, hi, lo_open](const char* value) {
+            double parsed = 0.0;
+            if (!ParseDouble(value, &parsed) || !std::isfinite(parsed) ||
+                (lo_open ? parsed <= lo : parsed < lo) || parsed > hi) {
+              return false;
+            }
+            *field = parsed;
+            return true;
+          }};
+}
+
+// An enum spelled through its library Parse*/…Name helpers.
+template <typename E, typename ParseFn, typename NameFn>
+Flag Enum(const char* name, const char* choices, E* field, ParseFn parse_name,
+          NameFn name_of, Scope scope, const char* help) {
+  return {name, choices, scope, help, choices, std::string(name_of(*field)),
+          [field, parse_name](const char* value) { return parse_name(value, field); }};
+}
+
+// Custom kinds: comma lists and compound values.
+
+// SCALE,EDGE_FACTOR[,SEED]; omitted fields keep their current values.
+bool ParseRmat(const char* value, RmatOptions* rmat) {
+  const auto fields = SplitNonEmpty(value, ",");
+  uint64_t parsed[3] = {rmat->scale, rmat->edge_factor, rmat->seed};
+  if (fields.empty() || fields.size() > 3) {
+    return false;
+  }
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (!ParseUint64(fields[i], &parsed[i])) {
+      return false;
+    }
+  }
+  // 2^SCALE must fit a 32-bit VertexId.
+  if (parsed[0] > 31 || parsed[1] > std::numeric_limits<uint32_t>::max()) {
+    return false;
+  }
+  rmat->scale = static_cast<uint32_t>(parsed[0]);
+  rmat->edge_factor = static_cast<uint32_t>(parsed[1]);
+  rmat->seed = parsed[2];
+  return true;
+}
+
+bool ParseJobs(const char* value, std::vector<std::string>* jobs) {
+  jobs->clear();
+  for (const auto piece : SplitNonEmpty(value, ",")) {
+    if (!IsKnownJob(piece)) {
+      return false;
+    }
+    jobs->emplace_back(piece);
+  }
+  return !jobs->empty();
+}
+
+bool ParseArrivals(const char* value, std::vector<ArrivalSpec>* arrivals) {
+  for (const auto piece : SplitNonEmpty(value, ",")) {
+    const size_t at = piece.find('@');
+    uint64_t step = 0;
+    if (at == std::string_view::npos || !IsKnownJob(piece.substr(0, at)) ||
+        !ParseUint64(piece.substr(at + 1), &step)) {
+      return false;
+    }
+    arrivals->push_back(ArrivalSpec{std::string(piece.substr(0, at)), step});
+  }
+  return true;
+}
+
+bool ParseFaults(const char* value, std::vector<FaultSpec>* specs) {
+  for (const auto piece : SplitNonEmpty(value, ",")) {
+    FaultSpec spec;
+    if (!ParseFaultSpec(piece, &spec)) {
+      return false;
+    }
+    specs->push_back(spec);
+  }
+  return true;
+}
+
+std::string Join(const std::vector<std::string>& names) {
+  std::string joined;
+  for (const auto& name : names) {
+    joined += (joined.empty() ? "" : ",") + name;
+  }
+  return joined;
+}
+
+// The flag table: one row per flag, writing straight into *o.
+std::vector<Flag> Flags(CliOptions* o) {
+  constexpr Scope kAny = Scope::kAny;
+  constexpr Scope kCgraph = Scope::kCgraph;
+  constexpr Scope kServe = Scope::kServe;
+  constexpr uint64_t k16Bit = 0xFFFF;
+  EngineOptions& e = o->engine;
+  TraceGenOptions& t = o->trace;
+  ServiceOptions& s = o->service;
+  return {
+      Switch("--help", &o->help, true, kAny, "print this list and exit"),
+      Text("--graph", &o->graph_path, kAny,
+           "edge list, 'src dst [weight]' per line, # comments (replaces --rmat)"),
+      {"--rmat", "SCALE,EF[,SEED]", kAny,
+       "synthetic power-law graph: 2^SCALE vertices, EF edges per vertex",
+       "SCALE,EF[,SEED] integers with SCALE <= 31 and EF < 2^32",
+       std::to_string(o->rmat.scale) + "," + std::to_string(o->rmat.edge_factor) + "," +
+           std::to_string(o->rmat.seed),
+       [o](const char* value) { return ParseRmat(value, &o->rmat); }},
+      {"--jobs", "NAME,...", kAny,
+       "pagerank sssp scc bfs wcc kcore ppr khop (the request mix under --serve)",
+       "a list of the job names --help lists", Join(o->jobs),
+       [o](const char* value) { return ParseJobs(value, &o->jobs); }},
+      {"--system", "NAME", kAny,
+       "cgraph, cgraph-without (no Eq. 1 priority), or a baseline: sequential, seraph, "
+       "seraph-vt, nxgraph, clip",
+       "one of the system names --help lists", o->system,
+       [o](const char* value) {
+         BaselineSystem baseline;
+         o->system = value;
+         return IsCgraphSystem(o->system) || ParseBaselineSystem(o->system, &baseline);
+       }},
+      Count("--partitions", &o->partition.num_partitions, kAny, "graph partitions", 1,
+            k16Bit),
+      Enum("--partitioner", "even_edge|hash_source|greedy|degree",
+           &o->partition.partitioner, ParsePartitionerName, PartitionerKindName, kAny,
+           "edge-placement strategy (docs/partitioning.md)"),
+      Count("--workers", &e.num_workers, kAny, "worker threads", 1, k16Bit),
+      Count("--source", &o->source, kAny,
+            "traversal source (default: lowest positive out-degree; a hub fans out wide)",
+            0, kInvalidVertex - 1),
+      Real("--theta-scale", &e.theta_scale, kAny,
+           "scale Eq. 1's theta; 0 = pure N(P) ordering", 0.0, 1.0),
+      Switch("--no-straggler", &e.straggler_split, false, kAny,
+             "one trigger task per job: no intra-partition chunk stealing"),
+      Count("--sweep-threshold", &e.parallel_sweep_threshold, kAny,
+            "min partition vertices for pooled bookkeeping sweeps; 0 = always pooled"),
+      Count("--trigger-threshold", &e.parallel_trigger_threshold, kAny,
+            "min active vertices for a pooled trigger batch; 0 = always pooled"),
+      Text("--csv", &o->csv_path, kAny, "also write the report as CSV"),
+
+      {"--arrivals", "JOB@STEP,...", kCgraph,
+       "submit JOB online after STEP partition-scheduling steps",
+       "JOB@STEP[,JOB@STEP...] with known job names", "",
+       [o](const char* value) { return ParseArrivals(value, &o->arrivals); }},
+      Enum("--admission", "fifo|overlap|predict", &e.admission_policy,
+           ParseAdmissionPolicyName, AdmissionPolicyKindName, kCgraph,
+           "job admission when a slot frees (docs/scheduling.md)"),
+      Real("--aging", &e.admission_aging, kCgraph,
+           "overlap/predict score bonus per waited step", 0.0,
+           std::numeric_limits<double>::infinity(), /*lo_open=*/true),
+      Count("--max-jobs", &e.max_jobs, kCgraph, "concurrency slots before admission queues",
+            1, k16Bit),
+      Enum("--execution", "bsp|async", &e.execution_mode, ParseExecutionModeName,
+           ExecutionModeName, kCgraph,
+           "iteration model; async needs monotonic jobs (docs/execution_modes.md)"),
+      Count("--staleness", &e.staleness, kCgraph,
+            "async mirror-sync lag bound in iterations; 0 = bsp", 0, k16Bit),
+      Count("--defer-divisor", &e.async_defer_divisor, kCgraph,
+            "async deferral while fresh master records >= replicated/N; 0 = always", 0,
+            k16Bit),
+      {"--inject-fault", "KIND@STEP[:JOB],...", kCgraph,
+       "one-shot faults, KIND = load|trigger|push|corrupt|cancel (docs/robustness.md)",
+       "KIND@STEP[:JOB],... with KIND one of load, trigger, push, corrupt, cancel", "",
+       [o](const char* value) { return ParseFaults(value, &o->engine.fault_specs); }},
+      Count("--fault-seed", &e.fault_seed, kCgraph, "corruption-target PRNG seed"),
+      Count("--checkpoint-every", &e.checkpoint_every, kCgraph,
+            "snapshot each job every N iterations; faulted jobs restart there; 0 = off"),
+      Count("--job-step-budget", &e.job_step_budget, kCgraph,
+            "cancel a running job N steps after admission; 0 = off"),
+      Text("--values-out", &o->values_out, kCgraph,
+           "write 'job,vertex,value' lines for every completed job"),
+      Switch("--serve", &o->serve, true, kCgraph,
+             "replay an arrival trace through the service daemon (docs/service.md)"),
+
+      Count("--trace-jobs", &t.num_requests, kServe, "requests in the generated trace", 1),
+      Enum("--trace-pattern", "uniform|bursty|diurnal", &t.pattern, ParseArrivalPattern,
+           ArrivalPatternName, kServe, "arrival pattern"),
+      Count("--trace-seed", &t.seed, kServe, "trace PRNG seed"),
+      Count("--trace-gap", &t.mean_gap, kServe, "mean inter-arrival gap in steps"),
+      Count("--trace-burst", &t.burst_size, kServe, "requests per bursty clump", 1),
+      Count("--trace-sources", &o->trace_sources, kServe,
+            "traversal-source pool size; smaller pools coalesce more", 1),
+      Text("--trace-file", &o->trace_file, kServe, "replay this trace file"),
+      Text("--trace-out", &o->trace_out, kServe, "save the generated trace"),
+      Count("--queue-bound", &s.queue_bound, kServe,
+            "waiting jobs before arrivals shed; 0 = unbounded"),
+      Count("--deadline-steps", &s.deadline_steps, kServe,
+            "shed jobs still waiting N steps after arrival; 0 = off"),
+      Switch("--no-coalesce", &s.coalesce, false, kServe,
+             "no query fan-in: every request runs its own job"),
+      Count("--retry-limit", &s.retry_limit, kServe,
+            "retry failed/cancelled/deadline-shed jobs up to N times; 0 = off", 0, k16Bit),
+      Count("--retry-backoff", &s.retry_backoff, kServe,
+            "base retry spacing in steps, doubled per attempt", 1),
+  };
+}
+
+// Parses argv into *options. Values apply in argument order; then each flag given is
+// checked against its scope, so a scope error does not depend on flag order.
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
+  const std::vector<Flag> flags = Flags(options);
+  std::vector<const Flag*> given;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const char* value = nullptr;
-    auto match = [&arg, &value](std::string_view prefix) {
-      if (!arg.starts_with(prefix)) {
-        return false;
-      }
-      value = arg.data() + prefix.size();
-      return true;
-    };
-    if (arg == "--help" || arg == "-h") {
-      options->help = true;
-    } else if (match("--graph=")) {
-      options->graph_path = value;
-    } else if (match("--rmat=")) {
-      const auto fields = SplitNonEmpty(value, ",");
-      if (fields.empty() || fields.size() > 3) {
-        std::fprintf(stderr, "error: --rmat expects SCALE,EDGE_FACTOR[,SEED]\n");
-        return false;
-      }
-      uint64_t scale = 0;
-      uint64_t ef = 8;
-      uint64_t seed = 1;
-      if (!ParseUint64(fields[0], &scale) ||
-          (fields.size() > 1 && !ParseUint64(fields[1], &ef)) ||
-          (fields.size() > 2 && !ParseUint64(fields[2], &seed))) {
-        std::fprintf(stderr, "error: --rmat fields must be integers\n");
-        return false;
-      }
-      options->rmat_scale = static_cast<uint32_t>(scale);
-      options->rmat_edge_factor = static_cast<uint32_t>(ef);
-      options->rmat_seed = seed;
-    } else if (match("--jobs=")) {
-      options->jobs.clear();
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        options->jobs.emplace_back(piece);
-      }
-    } else if (match("--system=")) {
-      options->system = value;
-      if (!IsKnownSystem(options->system)) {
-        std::fprintf(stderr,
-                     "error: --system expects cgraph, cgraph-without, sequential, "
-                     "seraph, seraph-vt, nxgraph, or clip\n");
-        return false;
-      }
-    } else if (match("--partitions=")) {
-      uint64_t partitions = 0;
-      if (!ParseUint64(value, &partitions) || partitions == 0 || partitions > 0xFFFFu) {
-        std::fprintf(stderr, "error: --partitions expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->partitions = static_cast<uint32_t>(partitions);
-    } else if (match("--partitioner=")) {
-      if (!ParsePartitionerName(value, &options->partitioner)) {
-        std::fprintf(stderr,
-                     "error: --partitioner expects even_edge, hash_source, greedy, "
-                     "or degree\n");
-        return false;
-      }
-    } else if (match("--workers=")) {
-      uint64_t workers = 0;
-      if (!ParseUint64(value, &workers) || workers == 0 || workers > 0xFFFFu) {
-        std::fprintf(stderr, "error: --workers expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->workers = static_cast<uint32_t>(workers);
-    } else if (match("--source=")) {
-      uint64_t source = 0;
-      if (!ParseUint64(value, &source) || source >= kInvalidVertex) {
-        std::fprintf(stderr, "error: --source expects a vertex id\n");
-        return false;
-      }
-      options->source = static_cast<VertexId>(source);
-    } else if (match("--theta-scale=")) {
-      char* end = nullptr;
-      options->theta_scale = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->theta_scale < 0.0 ||
-          options->theta_scale > 1.0) {
-        std::fprintf(stderr, "error: --theta-scale expects a number in [0, 1]\n");
-        return false;
-      }
-    } else if (arg == "--no-straggler") {
-      options->straggler_split = false;
-    } else if (match("--sweep-threshold=")) {
-      uint64_t threshold = 0;
-      if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --sweep-threshold expects a vertex count\n");
-        return false;
-      }
-      options->sweep_threshold = static_cast<int64_t>(threshold);
-    } else if (match("--chunk-grain=")) {
-      uint64_t grain = 0;
-      if (!ParseUint64(value, &grain) || grain == 0 || grain > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --chunk-grain expects a positive vertex count\n");
-        return false;
-      }
-      options->chunk_grain = static_cast<uint32_t>(grain);
-    } else if (match("--admission=")) {
-      if (!ParseAdmissionPolicyName(value, &options->admission)) {
-        std::fprintf(stderr, "error: --admission expects fifo, overlap, or predict\n");
-        return false;
-      }
-    } else if (match("--execution=")) {
-      if (!ParseExecutionModeName(value, &options->execution)) {
-        std::fprintf(stderr, "error: --execution expects bsp or async\n");
-        return false;
-      }
-    } else if (match("--staleness=")) {
-      uint64_t staleness = 0;
-      if (!ParseUint64(value, &staleness) || staleness > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --staleness expects an iteration count in [0, 65535] "
-                     "(0 = degenerate to bsp)\n");
-        return false;
-      }
-      options->staleness = static_cast<int64_t>(staleness);
-    } else if (match("--defer-divisor=")) {
-      uint64_t divisor = 0;
-      if (!ParseUint64(value, &divisor) || divisor > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --defer-divisor expects a divisor in [0, 65535] "
-                     "(0 = always defer up to the staleness bound)\n");
-        return false;
-      }
-      options->defer_divisor = static_cast<int64_t>(divisor);
-    } else if (match("--aging=")) {
-      char* end = nullptr;
-      options->aging = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->aging <= 0.0) {
-        std::fprintf(stderr, "error: --aging expects a positive score-per-step weight\n");
-        return false;
-      }
-    } else if (match("--max-jobs=")) {
-      uint64_t max_jobs = 0;
-      if (!ParseUint64(value, &max_jobs) || max_jobs == 0 || max_jobs > 0xFFFFu) {
-        std::fprintf(stderr, "error: --max-jobs expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->max_jobs = static_cast<uint32_t>(max_jobs);
-    } else if (match("--history-decay=")) {
-      char* end = nullptr;
-      options->history_decay = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->history_decay < 0.0 ||
-          options->history_decay > 1.0) {
-        std::fprintf(stderr, "error: --history-decay expects a number in [0, 1]\n");
-        return false;
-      }
-    } else if (match("--history-buckets=")) {
-      uint64_t buckets = 0;
-      if (!ParseUint64(value, &buckets) || buckets == 0 || buckets > 0xFFFFu) {
-        std::fprintf(stderr, "error: --history-buckets expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->history_buckets = static_cast<uint32_t>(buckets);
-    } else if (match("--arrivals=")) {
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        const size_t at = piece.find('@');
-        uint64_t step = 0;
-        if (at == std::string_view::npos || at == 0 ||
-            !ParseUint64(piece.substr(at + 1), &step)) {
-          std::fprintf(stderr, "error: --arrivals expects NAME@STEP[,NAME@STEP...]\n");
-          return false;
-        }
-        options->arrivals.push_back(ArrivalSpec{std::string(piece.substr(0, at)), step});
-      }
-    } else if (match("--trigger-threshold=")) {
-      uint64_t threshold = 0;
-      if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --trigger-threshold expects a vertex count\n");
-        return false;
-      }
-      options->trigger_threshold = static_cast<int64_t>(threshold);
-    } else if (arg == "--serve") {
-      options->serve = true;
-    } else if (match("--trace-jobs=")) {
-      if (!ParseUint64(value, &options->trace_jobs) || options->trace_jobs == 0) {
-        std::fprintf(stderr, "error: --trace-jobs expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-pattern=")) {
-      if (!ParseArrivalPattern(value, &options->trace_pattern)) {
-        std::fprintf(stderr,
-                     "error: --trace-pattern expects uniform, bursty, or diurnal\n");
-        return false;
-      }
-    } else if (match("--trace-seed=")) {
-      if (!ParseUint64(value, &options->trace_seed)) {
-        std::fprintf(stderr, "error: --trace-seed expects an integer\n");
-        return false;
-      }
-    } else if (match("--trace-gap=")) {
-      if (!ParseUint64(value, &options->trace_gap)) {
-        std::fprintf(stderr, "error: --trace-gap expects a step count\n");
-        return false;
-      }
-    } else if (match("--trace-burst=")) {
-      if (!ParseUint64(value, &options->trace_burst) || options->trace_burst == 0) {
-        std::fprintf(stderr, "error: --trace-burst expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-sources=")) {
-      if (!ParseUint64(value, &options->trace_sources) || options->trace_sources == 0) {
-        std::fprintf(stderr, "error: --trace-sources expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-file=")) {
-      options->trace_file = value;
-    } else if (match("--trace-out=")) {
-      options->trace_out = value;
-    } else if (match("--queue-bound=")) {
-      if (!ParseUint64(value, &options->queue_bound)) {
-        std::fprintf(stderr, "error: --queue-bound expects a count (0 = unbounded)\n");
-        return false;
-      }
-    } else if (match("--deadline-steps=")) {
-      if (!ParseUint64(value, &options->deadline_steps)) {
-        std::fprintf(stderr, "error: --deadline-steps expects a step count (0 = off)\n");
-        return false;
-      }
-    } else if (arg == "--no-coalesce") {
-      options->coalesce = false;
-    } else if (match("--inject-fault=")) {
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        FaultSpec spec;
-        if (!ParseFaultSpec(piece, &spec)) {
-          std::fprintf(stderr,
-                       "error: --inject-fault expects KIND@STEP[:JOB] with KIND one of "
-                       "load, trigger, push, corrupt, cancel\n");
-          return false;
-        }
-        options->fault_specs.push_back(spec);
-      }
-    } else if (match("--fault-seed=")) {
-      if (!ParseUint64(value, &options->fault_seed)) {
-        std::fprintf(stderr, "error: --fault-seed expects an integer\n");
-        return false;
-      }
-    } else if (match("--checkpoint-every=")) {
-      if (!ParseUint64(value, &options->checkpoint_every)) {
-        std::fprintf(stderr,
-                     "error: --checkpoint-every expects an iteration count (0 = off)\n");
-        return false;
-      }
-    } else if (match("--job-step-budget=")) {
-      if (!ParseUint64(value, &options->job_step_budget)) {
-        std::fprintf(stderr,
-                     "error: --job-step-budget expects a step count (0 = no budgets)\n");
-        return false;
-      }
-    } else if (match("--retry-limit=")) {
-      if (!ParseUint64(value, &options->retry_limit) || options->retry_limit > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --retry-limit expects a count in [0, 65535] (0 = off)\n");
-        return false;
-      }
-    } else if (match("--retry-backoff=")) {
-      if (!ParseUint64(value, &options->retry_backoff) || options->retry_backoff == 0) {
-        std::fprintf(stderr, "error: --retry-backoff expects a positive step count\n");
-        return false;
-      }
-      options->retry_backoff_set = true;
-    } else if (match("--values-out=")) {
-      options->values_out = value;
-    } else if (match("--csv=")) {
-      options->csv_path = value;
-    } else {
+    const std::string_view arg = std::string_view(argv[i]) == "-h" ? "--help" : argv[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(), [arg](const Flag& f) {
+      const std::string_view name = f.name;
+      return *f.metavar == '\0' ? arg == name
+                                : arg.starts_with(name) && arg.size() > name.size() &&
+                                      arg[name.size()] == '=';
+    });
+    if (flag == flags.end()) {
       std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n", argv[i]);
+      return false;
+    }
+    const bool is_switch = *flag->metavar == '\0';
+    if (!flag->parse(is_switch ? "" : arg.data() + std::string_view(flag->name).size() + 1)) {
+      std::fprintf(stderr, "error: %s expects %s\n", flag->name, flag->expects.c_str());
+      return false;
+    }
+    given.push_back(&*flag);
+  }
+  if (options->help) {
+    return true;
+  }
+  for (const Flag* flag : given) {
+    if (flag->scope == Scope::kCgraph && !IsCgraphSystem(options->system)) {
+      std::fprintf(stderr, "error: %s requires --system=cgraph|cgraph-without\n",
+                   flag->name);
+      return false;
+    }
+    if (flag->scope == Scope::kServe && !options->serve) {
+      std::fprintf(stderr, "error: %s requires --serve\n", flag->name);
       return false;
     }
   }
   return true;
 }
 
-constexpr const char* kKnownJobs[] = {"pagerank", "sssp", "scc", "bfs",
-                                      "wcc",      "kcore", "ppr", "khop"};
-
-bool IsKnownJob(const std::string& name) {
-  for (const char* known : kKnownJobs) {
-    if (name == known) {
-      return true;
+void PrintUsage() {
+  CliOptions defaults;
+  const std::vector<Flag> flags = Flags(&defaults);
+  std::printf("cgraph_cli — concurrent iterative graph processing (CGraph reproduction)\n");
+  const std::pair<Scope, const char*> sections[] = {
+      {Scope::kAny, "any system"},
+      {Scope::kCgraph, "cgraph systems only (--system=cgraph|cgraph-without)"},
+      {Scope::kServe, "--serve only (docs/service.md, docs/robustness.md)"}};
+  for (const auto& [scope, title] : sections) {
+    std::printf("\n%s:\n", title);
+    for (const Flag& flag : flags) {
+      if (flag.scope != scope) {
+        continue;
+      }
+      std::string spelling =
+          std::string(flag.name) + (*flag.metavar == '\0' ? "" : "=") + flag.metavar;
+      if (spelling.size() > 22) {  // Too wide for the column: help goes on the next line.
+        std::printf("  %s\n", spelling.c_str());
+        spelling.clear();
+      }
+      std::string help = flag.help;
+      if (!flag.default_text.empty()) {
+        help += " (default " + flag.default_text + ")";
+      }
+      std::printf("  %-22s %s\n", spelling.c_str(), help.c_str());
     }
   }
-  return false;
 }
 
 // Parseable layout-quality summary (consumed by tools/run_bench.sh; index definitions
@@ -488,6 +495,128 @@ void PrintRobustnessLine(size_t faults_fired, const RunReport& report,
       makespan > 0.0 ? overhead / makespan : 0.0);
 }
 
+// Parseable admission summary (consumed by tools/run_bench.sh): per-job wait steps are
+// scheduling steps between becoming runnable and admission, deterministic for a fixed
+// workload and policy. Overlap means aggregate only *scored* admissions (contended
+// decisions under a footprint-aware policy) — unscored jobs report admit_overlap = 0
+// without ever having been scored, and averaging them in would dilute the signal.
+void PrintAdmissionLine(const RunReport& report, AdmissionPolicyKind policy) {
+  uint64_t total_wait = 0;
+  uint64_t max_wait = 0;
+  size_t waited = 0;
+  size_t scored = 0;
+  size_t predicted = 0;
+  double scored_overlap = 0.0;
+  double predicted_overlap = 0.0;
+  for (const auto& job : report.jobs) {
+    total_wait += job.wait_steps;
+    max_wait = std::max(max_wait, job.wait_steps);
+    waited += job.wait_steps > 0 ? 1 : 0;
+    if (job.admit_scored) {
+      ++scored;
+      scored_overlap += job.admit_overlap;
+    }
+    if (job.admit_predicted) {
+      ++predicted;
+      predicted_overlap += job.predicted_overlap;
+    }
+  }
+  const double mean_wait =
+      report.jobs.empty() ? 0.0
+                          : static_cast<double>(total_wait) / static_cast<double>(report.jobs.size());
+  std::printf(
+      "admission: policy=%s mean_wait_steps=%.4f max_wait_steps=%llu waited_jobs=%zu "
+      "scored_jobs=%zu mean_admit_overlap=%.4f predicted_jobs=%zu "
+      "mean_predicted_overlap=%.4f\n",
+      std::string(AdmissionPolicyKindName(policy)).c_str(), mean_wait,
+      static_cast<unsigned long long>(max_wait), waited, scored,
+      scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored), predicted,
+      predicted == 0 ? 0.0 : predicted_overlap / static_cast<double>(predicted));
+}
+
+// The batch report: the per-job table and the run-wide cache line.
+void PrintJobTable(const RunReport& report, const CostModel& cost, VertexId source) {
+  std::printf("system: %s, %u workers, source %u\n\n", report.executor_name.c_str(),
+              report.workers, source);
+  TablePrinter table({"Job", "Iterations", "Vertex computes", "Edge traversals",
+                      "Modeled time", "Access share"});
+  for (const auto& job : report.jobs) {
+    const double compute = job.ModeledComputeTime(cost, report.workers);
+    const double access = job.ModeledAccessTime(cost, report.workers);
+    table.AddRow({job.job_name, std::to_string(job.iterations),
+                  std::to_string(job.vertex_computes), std::to_string(job.edge_traversals),
+                  FormatDouble(compute + access, 0),
+                  FormatDouble(compute + access > 0 ? access / (compute + access) * 100 : 0, 1) +
+                      "%"});
+  }
+  table.Print();
+  std::printf("\nLLC miss rate %.1f%%, volume into cache %s, disk I/O %s, wall %.2fs\n",
+              report.cache.miss_rate() * 100, HumanBytes(report.cache.miss_bytes).c_str(),
+              HumanBytes(report.memory.disk_bytes).c_str(), report.wall_seconds);
+}
+
+// The daemon report, ending in the parseable "service:" line (consumed by
+// tools/run_bench.sh). Latency percentiles are scheduling-step figures, identical across
+// runs and worker counts; wall_seconds and sustained_jobs_per_second are the
+// hardware-dependent outputs.
+void PrintServiceReport(const CliOptions& options, const ServiceReport& sreport) {
+  const char* trace_name = options.trace_file.empty()
+                               ? ArrivalPatternName(options.trace.pattern)
+                               : options.trace_file.c_str();
+  std::printf("system: %s daemon, %u workers, %s trace\n\n", options.system.c_str(),
+              options.engine.num_workers, trace_name);
+  std::printf("requests     %llu (%llu completed, %llu shed, %llu coalesced, "
+              "%llu failed)\n",
+              static_cast<unsigned long long>(sreport.total_requests),
+              static_cast<unsigned long long>(sreport.completed_requests),
+              static_cast<unsigned long long>(sreport.shed_requests),
+              static_cast<unsigned long long>(sreport.coalesced_requests),
+              static_cast<unsigned long long>(sreport.failed_requests));
+  std::printf("jobs         %llu submitted, %llu executed, %llu shed while queued\n",
+              static_cast<unsigned long long>(sreport.submitted_jobs),
+              static_cast<unsigned long long>(sreport.executed_jobs),
+              static_cast<unsigned long long>(sreport.shed_jobs));
+  if (options.service.retry_limit > 0 || sreport.failed_jobs > 0 ||
+      sreport.cancelled_jobs > 0) {
+    std::printf("retries      %llu failed, %llu cancelled mid-run; %llu resubmitted, "
+                "%llu resumed from checkpoints\n",
+                static_cast<unsigned long long>(sreport.failed_jobs),
+                static_cast<unsigned long long>(sreport.cancelled_jobs),
+                static_cast<unsigned long long>(sreport.retried_jobs),
+                static_cast<unsigned long long>(sreport.recovered_jobs));
+  }
+  std::printf("latency      p50 %.0f, p95 %.0f, p99 %.0f, mean %.1f, max %.0f steps\n",
+              sreport.p50_latency_steps, sreport.p95_latency_steps,
+              sreport.p99_latency_steps, sreport.mean_latency_steps,
+              sreport.max_latency_steps);
+  std::printf("throughput   %.2f completed requests/s over %.2fs wall (%llu steps)\n\n",
+              sreport.sustained_jobs_per_second, sreport.wall_seconds,
+              static_cast<unsigned long long>(sreport.final_step));
+  std::printf(
+      "service: pattern=%s requests=%llu completed=%llu shed=%llu coalesced=%llu "
+      "failed=%llu submitted_jobs=%llu executed_jobs=%llu shed_jobs=%llu "
+      "cancelled_jobs=%llu failed_jobs=%llu retried=%llu recovered=%llu "
+      "dedup_ratio=%.4f p50=%.1f p95=%.1f p99=%.1f mean=%.2f max=%.1f final_step=%llu "
+      "wall_seconds=%.4f sustained_jobs_per_second=%.4f\n",
+      options.trace_file.empty() ? ArrivalPatternName(options.trace.pattern) : "file",
+      static_cast<unsigned long long>(sreport.total_requests),
+      static_cast<unsigned long long>(sreport.completed_requests),
+      static_cast<unsigned long long>(sreport.shed_requests),
+      static_cast<unsigned long long>(sreport.coalesced_requests),
+      static_cast<unsigned long long>(sreport.failed_requests),
+      static_cast<unsigned long long>(sreport.submitted_jobs),
+      static_cast<unsigned long long>(sreport.executed_jobs),
+      static_cast<unsigned long long>(sreport.shed_jobs),
+      static_cast<unsigned long long>(sreport.cancelled_jobs),
+      static_cast<unsigned long long>(sreport.failed_jobs),
+      static_cast<unsigned long long>(sreport.retried_jobs),
+      static_cast<unsigned long long>(sreport.recovered_jobs), sreport.dedup_ratio,
+      sreport.p50_latency_steps, sreport.p95_latency_steps, sreport.p99_latency_steps,
+      sreport.mean_latency_steps, sreport.max_latency_steps,
+      static_cast<unsigned long long>(sreport.final_step), sreport.wall_seconds,
+      sreport.sustained_jobs_per_second);
+}
+
 // One line per (completed job, vertex): "job,vertex,value" with full double precision —
 // the byte-comparable artifact the recovery-equivalence SMOKE gate diffs against a
 // fault-free run. Jobs without valid readback (shed/cancelled/failed) are skipped.
@@ -510,100 +639,64 @@ bool WriteFinalValues(const LtpEngine& engine, const std::string& path) {
   return true;
 }
 
-void PrintUsage() {
-  std::printf(
-      "cgraph_cli — concurrent iterative graph processing (CGraph reproduction)\n\n"
-      "  --graph=FILE          edge list: 'src dst [weight]' per line, # comments\n"
-      "  --rmat=S,EF[,SEED]    synthetic power-law graph (default 12,8)\n"
-      "  --jobs=a,b,c          pagerank sssp scc bfs wcc kcore ppr khop\n"
-      "  --system=NAME         cgraph (default), cgraph-without, sequential, seraph,\n"
-      "                        seraph-vt, nxgraph, clip\n"
-      "  --partitions=N        graph partitions (default 16)\n"
-      "  --partitioner=NAME    edge-placement strategy (docs/partitioning.md):\n"
-      "                        even_edge (default; the paper's sorted equal-edge\n"
-      "                        chunks, byte-identical to the historical layout),\n"
-      "                        hash_source (hash each edge by its source vertex),\n"
-      "                        greedy (streaming replication-minimizing placement,\n"
-      "                        capacity-bounded), degree (edges follow their lower-\n"
-      "                        degree endpoint; only hubs replicate)\n"
-      "  --workers=N           worker threads (default 4)\n"
-      "  --source=V            traversal source (default: lowest positive out-degree —\n"
-      "                        a localized footprint; pass a hub id to fan out wide)\n"
-      "  --theta-scale=X       scale Eq. 1's theta in [0,1] (default 1; 0 = pure N(P))\n"
-      "  --no-straggler        disable straggler splitting (one task per job)\n"
-      "  --chunk-grain=N       vertices per stolen work chunk (default 256)\n"
-      "  --sweep-threshold=N   min partition vertices before bookkeeping sweeps use the\n"
-      "                        thread pool (default 8192; 0 always parallel)\n"
-      "  --arrivals=J@S,...    submit job J online after S scheduling steps\n"
-      "                        (cgraph systems only)\n"
-      "  --admission=NAME      job-level admission policy (cgraph systems only):\n"
-      "                        fifo (default), overlap (admit the due waiter sharing\n"
-      "                        most initially-active partitions with the running set),\n"
-      "                        or predict (score by forecast lifetime overlap learned\n"
-      "                        from completed jobs of the same type; falls back to\n"
-      "                        overlap scoring for types with no history)\n"
-      "  --aging=X             overlap/predict score bonus per waited step (default\n"
-      "                        1/256; only jobs arriving within 1/X steps of a due\n"
-      "                        waiter can overtake it)\n"
-      "  --max-jobs=N          concurrency slots before admission queues (default 64)\n"
-      "  --execution=NAME      iteration model (cgraph systems only): bsp (default;\n"
-      "                        deterministic correctness oracle) or async (bounded-\n"
-      "                        staleness for monotonic programs: intra-iteration re-\n"
-      "                        drain of partition-interior updates + mirror sync lagging\n"
-      "                        masters by at most --staleness iterations; identical\n"
-      "                        converged values, fewer iterations). Every requested job\n"
-      "                        must be monotonic: sssp bfs wcc kcore khop\n"
-      "  --staleness=N         async mirror-sync lag bound in iterations (default 1;\n"
-      "                        0 degenerates to bsp; ignored under --execution=bsp)\n"
-      "  --defer-divisor=N     async adaptive-deferral heat threshold: a boundary only\n"
-      "                        defers while fresh master records >= replicated/N\n"
-      "                        (default 1; 0 = always defer up to the staleness bound)\n"
-      "  --history-decay=X     footprint-history decay in [0,1] (default 0.5): profile\n"
-      "                        contributions are scaled by X before each new completion\n"
-      "                        folds in (1 = plain mean, 0 = latest job only)\n"
-      "  --history-buckets=N   lifetime buckets of the occupancy profile (default 8)\n"
-      "  --trigger-threshold=N min active vertices in a trigger batch before it\n"
-      "                        dispatches through the thread pool (default 4096;\n"
-      "                        0 always dispatches)\n"
-      "  --csv=PATH            also write the report as CSV\n"
-      "\nservice daemon (docs/service.md):\n"
-      "  --serve               replay an arrival trace as a long-running service\n"
-      "                        (cgraph systems only; --jobs becomes the program mix)\n"
-      "  --trace-jobs=N        requests in the generated trace (default 1000)\n"
-      "  --trace-pattern=NAME  uniform (default), bursty, diurnal\n"
-      "  --trace-seed=N        trace PRNG seed (default 42)\n"
-      "  --trace-gap=N         mean inter-arrival gap in scheduling steps (default 4)\n"
-      "  --trace-burst=N       requests per clump under bursty (default 16)\n"
-      "  --trace-sources=N     traversal-source pool size; smaller pools repeat\n"
-      "                        sources more, so more requests coalesce (default 8)\n"
-      "  --trace-file=PATH     replay this trace file instead of generating\n"
-      "  --trace-out=PATH      save the generated trace for exact replay\n"
-      "  --queue-bound=N       waiting-queue bound before arrivals shed at the door\n"
-      "                        (default 64; 0 = unbounded)\n"
-      "  --deadline-steps=N    shed jobs still waiting N steps past arrival\n"
-      "                        (default 0 = no deadlines)\n"
-      "  --no-coalesce         disable query fan-in (every request runs its own job)\n"
-      "\nrobustness (docs/robustness.md; cgraph systems only):\n"
-      "  --inject-fault=SPECS  deterministic fault injection: KIND@STEP[:JOB],... with\n"
-      "                        KIND one of load, trigger, push (per-job stage errors),\n"
-      "                        corrupt (NaN-scribble state then fail the job), cancel\n"
-      "                        (simulated mid-run deadline expiry); each spec fires\n"
-      "                        once, at the first matching poll at or after STEP\n"
-      "  --fault-seed=N        corruption-target PRNG seed (default 42)\n"
-      "  --checkpoint-every=N  snapshot each job's state every N completed iterations\n"
-      "                        (default 0 = off); failed/cancelled jobs restart from\n"
-      "                        their last checkpoint (batch mode recovers in-process;\n"
-      "                        --serve recovers through the retry policy)\n"
-      "  --job-step-budget=N   cancel a running job N scheduling steps after its\n"
-      "                        admission (default 0 = no budgets; complements\n"
-      "                        --deadline-steps, which bounds queue wait only)\n"
-      "  --retry-limit=N       --serve only: retry failed/cancelled/deadline-shed jobs\n"
-      "                        up to N times (default 0 = off); checkpointed jobs\n"
-      "                        resume, others resubmit fresh\n"
-      "  --retry-backoff=N     --serve only: base retry spacing in scheduling steps,\n"
-      "                        doubled per attempt (default 8)\n"
-      "  --values-out=PATH     write 'job,vertex,value' lines for every completed job\n"
-      "                        (the recovery-equivalence comparison artifact)\n");
+// The --serve request trace: replayed from --trace-file or generated, then optionally
+// saved to --trace-out.
+bool BuildTrace(const CliOptions& options, const EdgeList& edges,
+                std::vector<ServiceRequest>* trace) {
+  if (!options.trace_file.empty()) {
+    if (!LoadTrace(options.trace_file, trace)) {
+      std::fprintf(stderr, "error: cannot load trace from '%s'\n",
+                   options.trace_file.c_str());
+      return false;
+    }
+  } else {
+    TraceGenOptions generate = options.trace;
+    generate.programs = options.jobs;
+    generate.sources = PickSourcePool(edges, options.trace_sources);
+    *trace = GenerateArrivalTrace(generate);
+  }
+  if (!options.trace_out.empty() && !SaveTrace(*trace, options.trace_out)) {
+    std::fprintf(stderr, "error: cannot write trace to '%s'\n", options.trace_out.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Batch mode on a cgraph system: submit the jobs and arrivals, run to idle, and restart
+// every faulted job that left a checkpoint.
+void RunBatch(const CliOptions& options, VertexId source, LtpEngine* engine) {
+  // Service API, not the legacy AddJob: up-front jobs beyond --max-jobs queue for
+  // admission instead of tripping the batch wrapper's capacity CHECK.
+  for (const auto& name : options.jobs) {
+    engine->Submit(MakeProgram(name, source));
+  }
+  // Online submissions ride the service API: each arrival becomes runnable after its
+  // scheduling step and queues behind max_jobs if the engine is saturated.
+  for (const auto& arrival : options.arrivals) {
+    engine->SubmitAt(MakeProgram(arrival.job, source), arrival.step);
+  }
+  engine->RunUntilIdle();
+  if (options.engine.checkpoint_every == 0) {
+    return;
+  }
+  // Batch-mode recovery: restart every faulted job that left a checkpoint and drive the
+  // engine idle again, until nothing recoverable remains. Each fault spec fires once, so
+  // a restarted job does not re-trip the fault that killed it; the round guard only
+  // bounds pathological spec lists that keep killing restarted jobs.
+  for (int round = 0; round < 16; ++round) {
+    bool restarted = false;
+    for (JobId id = 0; id < static_cast<JobId>(engine->num_jobs()); ++id) {
+      const JobStats& stats = engine->job(id).stats();
+      if ((stats.failed || stats.cancelled) && engine->HasCheckpoint(id) &&
+          engine->RestartFromCheckpoint(id, engine->current_step()).ok()) {
+        restarted = true;
+      }
+    }
+    if (!restarted) {
+      break;
+    }
+    engine->RunUntilIdle();
+  }
 }
 
 }  // namespace
@@ -617,79 +710,24 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  for (const auto& job : options.jobs) {
-    if (!IsKnownJob(job)) {
-      std::fprintf(stderr, "error: unknown job '%s'\n", job.c_str());
-      return 2;
-    }
-  }
-  const bool is_cgraph_system =
-      options.system == "cgraph" || options.system == "cgraph-without";
-  for (const auto& arrival : options.arrivals) {
-    if (!IsKnownJob(arrival.job)) {
-      std::fprintf(stderr, "error: unknown arrival job '%s'\n", arrival.job.c_str());
-      return 2;
-    }
-    if (!is_cgraph_system) {
-      std::fprintf(stderr, "error: --arrivals requires --system=cgraph|cgraph-without\n");
-      return 2;
-    }
-  }
-  if (options.admission != AdmissionPolicyKind::kFifo && !is_cgraph_system) {
-    std::fprintf(stderr, "error: --admission requires --system=cgraph|cgraph-without\n");
-    return 2;
-  }
-  if (options.serve && !is_cgraph_system) {
-    std::fprintf(stderr, "error: --serve requires --system=cgraph|cgraph-without\n");
-    return 2;
-  }
   if (options.serve && !options.arrivals.empty()) {
     std::fprintf(stderr, "error: --serve and --arrivals are mutually exclusive\n");
     return 2;
   }
-  if (!is_cgraph_system &&
-      (!options.fault_specs.empty() || options.checkpoint_every > 0 ||
-       options.job_step_budget > 0 || !options.values_out.empty())) {
-    std::fprintf(stderr,
-                 "error: --inject-fault/--checkpoint-every/--job-step-budget/"
-                 "--values-out require --system=cgraph|cgraph-without (the baselines "
-                 "have no fault-tolerance path)\n");
-    return 2;
-  }
-  if (!options.serve && (options.retry_limit > 0 || options.retry_backoff_set)) {
-    std::fprintf(stderr,
-                 "error: --retry-limit/--retry-backoff require --serve (retries are a "
-                 "service-daemon policy; batch runs recover explicitly via "
-                 "--checkpoint-every)\n");
-    return 2;
-  }
-  if (options.execution == ExecutionMode::kAsync) {
-    if (!is_cgraph_system) {
-      std::fprintf(stderr,
-                   "error: --execution=async requires --system=cgraph|cgraph-without "
-                   "(the baselines have no bounded-staleness path)\n");
-      return 2;
-    }
-    // Job names are validated above, so the factory probe cannot trip on an unknown
-    // name. Source 0 is arbitrary — monotonic() is a program-type property.
-    auto reject_non_monotonic = [](const std::string& name) {
-      if (MakeProgram(name, 0)->monotonic()) {
-        return false;
-      }
-      std::fprintf(stderr,
-                   "error: job '%s' is not monotonic and cannot run under "
-                   "--execution=async; monotonic jobs: sssp, bfs, wcc, kcore, khop "
-                   "(drop it or use --execution=bsp)\n",
-                   name.c_str());
-      return true;
-    };
-    for (const auto& job : options.jobs) {
-      if (reject_non_monotonic(job)) {
-        return 2;
-      }
-    }
+  if (options.engine.execution_mode == ExecutionMode::kAsync) {
+    // Job names are validated by the parser, so the factory probe cannot trip on an
+    // unknown name. Source 0 is arbitrary — monotonic() is a program-type property.
+    std::vector<std::string> names = options.jobs;
     for (const auto& arrival : options.arrivals) {
-      if (reject_non_monotonic(arrival.job)) {
+      names.push_back(arrival.job);
+    }
+    for (const auto& name : names) {
+      if (!MakeProgram(name, 0)->monotonic()) {
+        std::fprintf(stderr,
+                     "error: job '%s' is not monotonic and cannot run under "
+                     "--execution=async; monotonic jobs: sssp, bfs, wcc, kcore, khop "
+                     "(drop it or use --execution=bsp)\n",
+                     name.c_str());
         return 2;
       }
     }
@@ -704,240 +742,42 @@ int main(int argc, char** argv) {
     }
     edges = std::move(loaded).value();
   } else {
-    RmatOptions rmat;
-    rmat.scale = options.rmat_scale;
-    rmat.edge_factor = options.rmat_edge_factor;
-    rmat.seed = options.rmat_seed;
-    edges = GenerateRmat(rmat);
+    edges = GenerateRmat(options.rmat);
+  }
+  if (options.source != kInvalidVertex && options.source >= edges.num_vertices()) {
+    std::fprintf(stderr, "error: --source=%u is not a vertex of the %u-vertex graph\n",
+                 options.source, edges.num_vertices());
+    return 2;
   }
   const VertexId source =
       options.source == kInvalidVertex ? PickSourceVertex(edges) : options.source;
 
-  PartitionOptions popts;
-  popts.num_partitions = options.partitions;
-  popts.partitioner = options.partitioner;
-  popts.core_subgraph = options.system != "cgraph-without";
-  const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, popts);
-
-  EngineOptions engine_options;
-  engine_options.num_workers = options.workers;
-  engine_options.theta_scale = options.theta_scale;
-  engine_options.straggler_split = options.straggler_split;
-  if (options.chunk_grain > 0) {
-    engine_options.chunk_grain = options.chunk_grain;
-  }
-  if (options.sweep_threshold >= 0) {
-    engine_options.parallel_sweep_threshold = static_cast<uint32_t>(options.sweep_threshold);
-  }
-  engine_options.admission_policy = options.admission;
-  engine_options.execution_mode = options.execution;
-  if (options.staleness >= 0) {
-    engine_options.staleness = static_cast<uint32_t>(options.staleness);
-  }
-  if (options.defer_divisor >= 0) {
-    engine_options.async_defer_divisor = static_cast<uint32_t>(options.defer_divisor);
-  }
-  if (options.aging > 0.0) {
-    engine_options.admission_aging = options.aging;
-  }
-  if (options.max_jobs > 0) {
-    engine_options.max_jobs = options.max_jobs;
-  }
-  if (options.history_decay >= 0.0) {
-    engine_options.history_decay = options.history_decay;
-  }
-  if (options.history_buckets > 0) {
-    engine_options.history_buckets = options.history_buckets;
-  }
-  if (options.trigger_threshold >= 0) {
-    engine_options.parallel_trigger_threshold =
-        static_cast<uint32_t>(options.trigger_threshold);
-  }
-  engine_options.fault_specs = options.fault_specs;
-  engine_options.fault_seed = options.fault_seed;
-  engine_options.checkpoint_every = options.checkpoint_every;
-  engine_options.job_step_budget = options.job_step_budget;
+  options.partition.core_subgraph = options.system != "cgraph-without";
+  const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, options.partition);
+  const bool is_cgraph_system = IsCgraphSystem(options.system);
   const CostModel cost;
 
-  if (options.serve) {
-    engine_options.use_scheduler = options.system == "cgraph";
-
-    std::vector<ServiceRequest> trace;
-    if (!options.trace_file.empty()) {
-      if (!LoadTrace(options.trace_file, &trace)) {
-        std::fprintf(stderr, "error: cannot load trace from '%s'\n",
-                     options.trace_file.c_str());
-        return 1;
-      }
-    } else {
-      TraceGenOptions tgen;
-      tgen.num_requests = options.trace_jobs;
-      tgen.pattern = options.trace_pattern;
-      tgen.seed = options.trace_seed;
-      tgen.mean_gap = options.trace_gap;
-      tgen.burst_size = options.trace_burst;
-      tgen.programs = options.jobs;
-      tgen.sources = PickSourcePool(edges, options.trace_sources);
-      trace = GenerateArrivalTrace(tgen);
-    }
-    if (!options.trace_out.empty() && !SaveTrace(trace, options.trace_out)) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   options.trace_out.c_str());
-      return 1;
-    }
-
-    LtpEngine engine(&graph, engine_options);
-    ServiceOptions sopts;
-    sopts.queue_bound = static_cast<size_t>(options.queue_bound);
-    sopts.deadline_steps = options.deadline_steps;
-    sopts.coalesce = options.coalesce;
-    sopts.retry_limit = static_cast<uint32_t>(options.retry_limit);
-    sopts.retry_backoff = options.retry_backoff;
-    ServiceDriver driver(&engine, sopts);
-    const ServiceReport sreport = driver.Run(trace);
-
-    std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
-                edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
-                graph.replication_factor());
-    PrintPartitionLine(graph.quality());
-    std::printf("system: %s daemon, %u workers, %s trace\n\n", options.system.c_str(),
-                options.workers,
-                options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern)
-                                           : options.trace_file.c_str());
-    std::printf("requests     %llu (%llu completed, %llu shed, %llu coalesced, "
-                "%llu failed)\n",
-                static_cast<unsigned long long>(sreport.total_requests),
-                static_cast<unsigned long long>(sreport.completed_requests),
-                static_cast<unsigned long long>(sreport.shed_requests),
-                static_cast<unsigned long long>(sreport.coalesced_requests),
-                static_cast<unsigned long long>(sreport.failed_requests));
-    std::printf("jobs         %llu submitted, %llu executed, %llu shed while queued\n",
-                static_cast<unsigned long long>(sreport.submitted_jobs),
-                static_cast<unsigned long long>(sreport.executed_jobs),
-                static_cast<unsigned long long>(sreport.shed_jobs));
-    if (options.retry_limit > 0 || sreport.failed_jobs > 0 || sreport.cancelled_jobs > 0) {
-      std::printf("retries      %llu failed, %llu cancelled mid-run; %llu resubmitted, "
-                  "%llu resumed from checkpoints\n",
-                  static_cast<unsigned long long>(sreport.failed_jobs),
-                  static_cast<unsigned long long>(sreport.cancelled_jobs),
-                  static_cast<unsigned long long>(sreport.retried_jobs),
-                  static_cast<unsigned long long>(sreport.recovered_jobs));
-    }
-    std::printf("latency      p50 %.0f, p95 %.0f, p99 %.0f, mean %.1f, max %.0f steps\n",
-                sreport.p50_latency_steps, sreport.p95_latency_steps,
-                sreport.p99_latency_steps, sreport.mean_latency_steps,
-                sreport.max_latency_steps);
-    std::printf("throughput   %.2f completed requests/s over %.2fs wall (%llu steps)\n\n",
-                sreport.sustained_jobs_per_second, sreport.wall_seconds,
-                static_cast<unsigned long long>(sreport.final_step));
-    // Parseable summary (consumed by tools/run_bench.sh). Latency percentiles are
-    // scheduling-step figures, identical across runs and worker counts; wall_seconds and
-    // sustained_jobs_per_second are the hardware-dependent outputs.
-    std::printf(
-        "service: pattern=%s requests=%llu completed=%llu shed=%llu coalesced=%llu "
-        "failed=%llu submitted_jobs=%llu executed_jobs=%llu shed_jobs=%llu "
-        "cancelled_jobs=%llu failed_jobs=%llu retried=%llu recovered=%llu "
-        "dedup_ratio=%.4f p50=%.1f p95=%.1f p99=%.1f mean=%.2f max=%.1f final_step=%llu "
-        "wall_seconds=%.4f sustained_jobs_per_second=%.4f\n",
-        options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern) : "file",
-        static_cast<unsigned long long>(sreport.total_requests),
-        static_cast<unsigned long long>(sreport.completed_requests),
-        static_cast<unsigned long long>(sreport.shed_requests),
-        static_cast<unsigned long long>(sreport.coalesced_requests),
-        static_cast<unsigned long long>(sreport.failed_requests),
-        static_cast<unsigned long long>(sreport.submitted_jobs),
-        static_cast<unsigned long long>(sreport.executed_jobs),
-        static_cast<unsigned long long>(sreport.shed_jobs),
-        static_cast<unsigned long long>(sreport.cancelled_jobs),
-        static_cast<unsigned long long>(sreport.failed_jobs),
-        static_cast<unsigned long long>(sreport.retried_jobs),
-        static_cast<unsigned long long>(sreport.recovered_jobs), sreport.dedup_ratio,
-        sreport.p50_latency_steps, sreport.p95_latency_steps, sreport.p99_latency_steps,
-        sreport.mean_latency_steps, sreport.max_latency_steps,
-        static_cast<unsigned long long>(sreport.final_step), sreport.wall_seconds,
-        sreport.sustained_jobs_per_second);
-    const RunReport engine_report = engine.Report();
-    PrintExecutionLine(engine_report, engine_options);
-    if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
-      PrintRobustnessLine(engine.faults_fired(), engine_report, cost);
-    }
-    if (!options.values_out.empty() && !WriteFinalValues(engine, options.values_out)) {
-      std::fprintf(stderr, "error: cannot write values to '%s'\n",
-                   options.values_out.c_str());
-      return 1;
-    }
-
-    if (!options.csv_path.empty()) {
-      const Status status = WriteRunReportCsv(engine_report, cost, options.csv_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("csv written to %s\n", options.csv_path.c_str());
-    }
-    return 0;
-  }
-
   RunReport report;
-  size_t faults_fired = 0;
+  ServiceReport sreport;
+  std::unique_ptr<LtpEngine> engine;
   if (is_cgraph_system) {
-    engine_options.use_scheduler = options.system == "cgraph";
-    LtpEngine engine(&graph, engine_options);
-    // Service API, not the legacy AddJob: up-front jobs beyond --max-jobs queue for
-    // admission instead of tripping the batch wrapper's capacity CHECK.
-    for (const auto& name : options.jobs) {
-      engine.Submit(MakeProgram(name, source));
-    }
-    // Online submissions ride the service API: each arrival becomes runnable after its
-    // scheduling step and queues behind max_jobs if the engine is saturated.
-    for (const auto& arrival : options.arrivals) {
-      engine.SubmitAt(MakeProgram(arrival.job, source), arrival.step);
-    }
-    engine.RunUntilIdle();
-    if (engine_options.checkpoint_every > 0) {
-      // Batch-mode recovery: restart every faulted job that left a checkpoint and drive
-      // the engine idle again, until nothing recoverable remains. Each fault spec fires
-      // once, so a restarted job does not re-trip the fault that killed it; the round
-      // guard only bounds pathological spec lists that keep killing restarted jobs.
-      for (int round = 0; round < 16; ++round) {
-        bool restarted = false;
-        for (JobId id = 0; id < static_cast<JobId>(engine.num_jobs()); ++id) {
-          const JobStats& stats = engine.job(id).stats();
-          if ((stats.failed || stats.cancelled) && engine.HasCheckpoint(id) &&
-              engine.RestartFromCheckpoint(id, engine.current_step()).ok()) {
-            restarted = true;
-          }
-        }
-        if (!restarted) {
-          break;
-        }
-        engine.RunUntilIdle();
-      }
-    }
-    report = engine.Report();
-    faults_fired = engine.faults_fired();
-    if (!options.values_out.empty() && !WriteFinalValues(engine, options.values_out)) {
-      std::fprintf(stderr, "error: cannot write values to '%s'\n",
-                   options.values_out.c_str());
+    options.engine.use_scheduler = options.system == "cgraph";
+    std::vector<ServiceRequest> trace;
+    if (options.serve && !BuildTrace(options, edges, &trace)) {
       return 1;
     }
+    engine = std::make_unique<LtpEngine>(&graph, options.engine);
+    if (options.serve) {
+      ServiceDriver driver(engine.get(), options.service);
+      sreport = driver.Run(trace);
+    } else {
+      RunBatch(options, source, engine.get());
+    }
+    report = engine->Report();
   } else {
     BaselineOptions bopts;
-    bopts.engine = engine_options;
-    if (options.system == "sequential") {
-      bopts.system = BaselineSystem::kSequential;
-    } else if (options.system == "seraph") {
-      bopts.system = BaselineSystem::kSeraph;
-    } else if (options.system == "seraph-vt") {
-      bopts.system = BaselineSystem::kSeraphVt;
-    } else if (options.system == "nxgraph") {
-      bopts.system = BaselineSystem::kNxgraph;
-    } else if (options.system == "clip") {
-      bopts.system = BaselineSystem::kClip;
-    } else {
-      std::fprintf(stderr, "error: unknown system '%s'\n", options.system.c_str());
-      return 2;
-    }
+    bopts.engine = options.engine;
+    ParseBaselineSystem(options.system, &bopts.system);
     BaselineExecutor executor(&graph, bopts);
     for (const auto& name : options.jobs) {
       executor.AddJob(MakeProgram(name, source));
@@ -949,68 +789,25 @@ int main(int argc, char** argv) {
               edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
               graph.replication_factor());
   PrintPartitionLine(graph.quality());
-  std::printf("system: %s, %u workers, source %u\n\n", report.executor_name.c_str(),
-              report.workers, source);
-
-  TablePrinter table({"Job", "Iterations", "Vertex computes", "Edge traversals",
-                      "Modeled time", "Access share"});
-  for (const auto& job : report.jobs) {
-    const double compute = job.ModeledComputeTime(cost, report.workers);
-    const double access = job.ModeledAccessTime(cost, report.workers);
-    table.AddRow({job.job_name, std::to_string(job.iterations),
-                  std::to_string(job.vertex_computes), std::to_string(job.edge_traversals),
-                  FormatDouble(compute + access, 0),
-                  FormatDouble(compute + access > 0 ? access / (compute + access) * 100 : 0, 1) +
-                      "%"});
+  if (options.serve) {
+    PrintServiceReport(options, sreport);
+  } else {
+    PrintJobTable(report, cost, source);
+    if (is_cgraph_system) {
+      PrintAdmissionLine(report, options.engine.admission_policy);
+    }
   }
-  table.Print();
-  std::printf("\nLLC miss rate %.1f%%, volume into cache %s, disk I/O %s, wall %.2fs\n",
-              report.cache.miss_rate() * 100, HumanBytes(report.cache.miss_bytes).c_str(),
-              HumanBytes(report.memory.disk_bytes).c_str(), report.wall_seconds);
   if (is_cgraph_system) {
-    // Parseable admission summary (consumed by tools/run_bench.sh): per-job wait steps
-    // are scheduling steps between becoming runnable and admission, deterministic for a
-    // fixed workload and policy. Overlap means aggregate only *scored* admissions
-    // (contended decisions under a footprint-aware policy) — unscored jobs report
-    // admit_overlap = 0 without ever having been scored, and averaging them in would
-    // dilute the signal.
-    uint64_t total_wait = 0;
-    uint64_t max_wait = 0;
-    size_t waited = 0;
-    size_t scored = 0;
-    size_t predicted = 0;
-    double scored_overlap = 0.0;
-    double predicted_overlap = 0.0;
-    for (const auto& job : report.jobs) {
-      total_wait += job.wait_steps;
-      max_wait = std::max(max_wait, job.wait_steps);
-      waited += job.wait_steps > 0 ? 1 : 0;
-      if (job.admit_scored) {
-        ++scored;
-        scored_overlap += job.admit_overlap;
-      }
-      if (job.admit_predicted) {
-        ++predicted;
-        predicted_overlap += job.predicted_overlap;
-      }
+    PrintExecutionLine(report, options.engine);
+    if (!options.engine.fault_specs.empty() || options.engine.checkpoint_every > 0) {
+      PrintRobustnessLine(engine->faults_fired(), report, cost);
     }
-    const double mean_wait =
-        report.jobs.empty() ? 0.0
-                            : static_cast<double>(total_wait) / static_cast<double>(report.jobs.size());
-    std::printf(
-        "admission: policy=%s mean_wait_steps=%.4f max_wait_steps=%llu waited_jobs=%zu "
-        "scored_jobs=%zu mean_admit_overlap=%.4f predicted_jobs=%zu "
-        "mean_predicted_overlap=%.4f\n",
-        std::string(AdmissionPolicyKindName(options.admission)).c_str(), mean_wait,
-        static_cast<unsigned long long>(max_wait), waited, scored,
-        scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored), predicted,
-        predicted == 0 ? 0.0 : predicted_overlap / static_cast<double>(predicted));
-    PrintExecutionLine(report, engine_options);
-    if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
-      PrintRobustnessLine(faults_fired, report, cost);
+    if (!options.values_out.empty() && !WriteFinalValues(*engine, options.values_out)) {
+      std::fprintf(stderr, "error: cannot write values to '%s'\n",
+                   options.values_out.c_str());
+      return 1;
     }
   }
-
   if (!options.csv_path.empty()) {
     const Status status = WriteRunReportCsv(report, cost, options.csv_path);
     if (!status.ok()) {
