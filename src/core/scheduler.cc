@@ -8,7 +8,8 @@ namespace cgraph {
 
 Scheduler::Scheduler(const PartitionedGraph& graph, bool use_priorities, double theta_scale)
     : use_priorities_(use_priorities) {
-  // A NaN scale would survive a clamp and poison every priority, so PickNext never picks.
+  // Written so that NaN fails too: a NaN scale poisons every priority and PickNext would
+  // never pick.
   CGRAPH_CHECK(theta_scale >= 0.0 && theta_scale <= 1.0);
   const uint32_t parts = graph.num_partitions();
   avg_degree_.resize(parts);

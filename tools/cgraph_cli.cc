@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/algorithms/factory.h"
@@ -68,7 +69,7 @@ struct CliOptions {
   bool serve = false;
   ServiceOptions service;
   TraceGenOptions trace;
-  uint64_t trace_sources = 8;  // Size of the source pool PickSourcePool fills trace.sources from.
+  uint64_t trace_sources = 8;  // Source-pool size; PickSourcePool fills trace.sources.
   std::string trace_file;      // Replay this trace file instead of generating.
   std::string trace_out;       // Save the generated trace here.
 };
@@ -114,6 +115,8 @@ struct Flag {
   std::string expects;       // Completes "error: --flag expects ..." on a bad value.
   std::string default_text;  // The target's value when the table was built; "" hides it.
   std::function<bool(const char* value)> parse;  // Writes the target; false = bad value.
+
+  bool is_switch() const { return *metavar == '\0'; }
 };
 
 // The value kinds. Each builder reads the target's current value for default_text, so
@@ -368,16 +371,16 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     const std::string_view arg = std::string_view(argv[i]) == "-h" ? "--help" : argv[i];
     const auto flag = std::find_if(flags.begin(), flags.end(), [arg](const Flag& f) {
       const std::string_view name = f.name;
-      return *f.metavar == '\0' ? arg == name
-                                : arg.starts_with(name) && arg.size() > name.size() &&
-                                      arg[name.size()] == '=';
+      return f.is_switch() ? arg == name
+                           : arg.starts_with(name) && arg.size() > name.size() &&
+                                 arg[name.size()] == '=';
     });
     if (flag == flags.end()) {
       std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n", argv[i]);
       return false;
     }
-    const bool is_switch = *flag->metavar == '\0';
-    if (!flag->parse(is_switch ? "" : arg.data() + std::string_view(flag->name).size() + 1)) {
+    const char* value = arg.data() + (flag->is_switch() ? arg.size() : arg.find('=') + 1);
+    if (!flag->parse(value)) {
       std::fprintf(stderr, "error: %s expects %s\n", flag->name, flag->expects.c_str());
       return false;
     }
@@ -415,7 +418,7 @@ void PrintUsage() {
         continue;
       }
       std::string spelling =
-          std::string(flag.name) + (*flag.metavar == '\0' ? "" : "=") + flag.metavar;
+          std::string(flag.name) + (flag.is_switch() ? "" : "=") + flag.metavar;
       if (spelling.size() > 22) {  // Too wide for the column: help goes on the next line.
         std::printf("  %s\n", spelling.c_str());
         spelling.clear();
