@@ -31,7 +31,7 @@ case "$MODE" in
     ;;
   rejects)
     STATUS=0
-    STDERR=$("$CLI" "$@" 2>&1 >/dev/null) || STATUS=$?
+    STDERR=$({ "$CLI" "$@" >/dev/null; } 2>&1) || STATUS=$?
     if [ "$STATUS" -ne 2 ]; then
       echo "FAIL: expected exit 2, got $STATUS"
       exit 1
