@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
           options.hierarchy.eviction_policy = policy;
           LtpEngine engine(&ds.graph, options);
           bench::AddMixJobs(engine, ds, env.jobs);
-          row.push_back(bench::Pct(engine.Run().cache.miss_rate()));
+          engine.RunUntilIdle();
+          row.push_back(bench::Pct(engine.Report().cache.miss_rate()));
         } else {
           BaselineOptions options;
           options.system = BaselineSystem::kSeraph;

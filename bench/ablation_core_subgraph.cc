@@ -36,9 +36,10 @@ int main(int argc, char** argv) {
     }
     LtpEngine engine(&graph, env.Engine());
     for (const std::string& name : BenchmarkJobNames(env.jobs)) {
-      engine.AddJob(MakeProgram(name, source));
+      engine.Submit(MakeProgram(name, source));
     }
-    const RunReport report = engine.Run();
+    engine.RunUntilIdle();
+    const RunReport report = engine.Report();
     const double time = report.ModeledMakespan(cost);
     const double volume = static_cast<double>(report.cache.miss_bytes);
     if (base_time == 0.0) {

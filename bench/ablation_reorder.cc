@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
     const VertexId source = PickSourceVertex(edges);
     LtpEngine engine(&graph, env.Engine());
     for (const std::string& name : BenchmarkJobNames(env.jobs)) {
-      engine.AddJob(MakeProgram(name, source));
+      engine.Submit(MakeProgram(name, source));
     }
-    const RunReport report = engine.Run();
+    engine.RunUntilIdle();
+    const RunReport report = engine.Report();
     const double time = report.ModeledMakespan(cost);
     if (base_time == 0.0) {
       base_time = time;

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     n_only.theta_scale = 0.0;
     LtpEngine n_engine(&ds.graph, n_only);
     bench::AddMixJobs(n_engine, ds, env.jobs);
-    const RunReport n_report = n_engine.Run();
+    n_engine.RunUntilIdle();
+    const RunReport n_report = n_engine.Report();
 
     const RunReport full = bench::RunCgraph(ds, env, env.jobs, /*use_scheduler=*/true);
 

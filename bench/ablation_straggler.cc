@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       LtpEngine engine(&ds.graph, options);
       bench::AddMixJobs(engine, ds, env.jobs);
       WallTimer timer;
-      engine.Run();
+      engine.RunUntilIdle();
       best = std::min(best, timer.ElapsedSeconds());
     }
     if (base == 0.0) {

@@ -146,7 +146,7 @@ inline std::vector<DatasetSpec> BenchDatasets(const BenchEnv& env) {
 template <typename ExecutorT>
 void AddMixJobs(ExecutorT& executor, const PreparedDataset& ds, size_t count) {
   for (const std::string& name : BenchmarkJobNames(count)) {
-    executor.AddJob(MakeProgram(name, ds.source));
+    executor.Submit(MakeProgram(name, ds.source));
   }
 }
 
@@ -158,7 +158,8 @@ inline RunReport RunCgraph(const PreparedDataset& ds, const BenchEnv& env, size_
   const PartitionedGraph& graph = use_scheduler ? ds.graph : ds.graph_flat;
   LtpEngine engine(&graph, options);
   AddMixJobs(engine, ds, jobs);
-  RunReport report = engine.Run();
+  engine.RunUntilIdle();
+  RunReport report = engine.Report();
   report.executor_name = use_scheduler ? "CGraph" : "CGraph-without";
   return report;
 }
@@ -209,9 +210,10 @@ inline RunReport RunCgraphEvolving(const EvolvingSetup& setup, const BenchEnv& e
   LtpEngine engine(setup.store.get(), options);
   const auto names = BenchmarkJobNames(setup.job_times.size());
   for (size_t i = 0; i < setup.job_times.size(); ++i) {
-    engine.AddJob(MakeProgram(names[i], setup.source), setup.job_times[i]);
+    engine.Submit(MakeProgram(names[i], setup.source), setup.job_times[i]);
   }
-  RunReport report = engine.Run();
+  engine.RunUntilIdle();
+  RunReport report = engine.Report();
   report.executor_name = "CGraph";
   return report;
 }
@@ -224,7 +226,7 @@ inline RunReport RunBaselineEvolving(const EvolvingSetup& setup, const BenchEnv&
   BaselineExecutor executor(setup.store.get(), options);
   const auto names = BenchmarkJobNames(setup.job_times.size());
   for (size_t i = 0; i < setup.job_times.size(); ++i) {
-    executor.AddJob(MakeProgram(names[i], setup.source), setup.job_times[i]);
+    executor.Submit(MakeProgram(names[i], setup.source), setup.job_times[i]);
   }
   return executor.Run();
 }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     seq_options.system = BaselineSystem::kSequential;
     seq_options.engine = env.Engine();
     BaselineExecutor sequential(&ds.graph_flat, seq_options);
-    sequential.AddJob(MakeProgram(algo, ds.source));
+    sequential.Submit(MakeProgram(algo, ds.source));
     const RunReport seq_report = sequential.Run();
     const double seq_time = seq_report.ModeledMakespan(cost);
     const double seq_access = seq_report.jobs[0].ModeledAccessTime(cost, seq_report.workers);
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       options.engine = env.Engine();
       BaselineExecutor executor(&ds.graph_flat, options);
       for (size_t i = 0; i < n; ++i) {
-        executor.AddJob(MakeProgram(algo, ds.source));
+        executor.Submit(MakeProgram(algo, ds.source));
       }
       const RunReport report = executor.Run();
       const double per_job_time = report.ModeledMakespan(cost);

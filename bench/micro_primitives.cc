@@ -81,8 +81,9 @@ void BM_SinglePageRankIterationish(benchmark::State& state) {
   uint64_t edge_traversals = 0;
   for (auto _ : state) {
     LtpEngine engine(&pg, options);
-    engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-4));
-    const RunReport report = engine.Run();
+    engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-4));
+    engine.RunUntilIdle();
+    const RunReport report = engine.Report();
     edge_traversals += report.jobs[0].edge_traversals;
   }
   state.SetItemsProcessed(static_cast<int64_t>(edge_traversals));

@@ -38,16 +38,17 @@ int main() {
   const CostModel cost;
 
   auto add_jobs = [source](auto& executor) {
-    executor.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-6));
-    executor.AddJob(std::make_unique<SsspProgram>(source));
-    executor.AddJob(std::make_unique<SccProgram>());
-    executor.AddJob(std::make_unique<BfsProgram>(source));
+    executor.Submit(std::make_unique<PageRankProgram>(0.85, 1e-6));
+    executor.Submit(std::make_unique<SsspProgram>(source));
+    executor.Submit(std::make_unique<SccProgram>());
+    executor.Submit(std::make_unique<BfsProgram>(source));
   };
 
   // CGraph: one loading order shared by all jobs.
   LtpEngine cgraph(&graph, options);
   add_jobs(cgraph);
-  const RunReport cg = cgraph.Run();
+  cgraph.RunUntilIdle();
+  const RunReport cg = cgraph.Report();
 
   // Seraph-style: shared in-memory graph, but each job streams partitions in its own
   // order.

@@ -84,10 +84,11 @@ int main() {
   options.num_workers = 4;
   LtpEngine engine(&graph, options);
   const JobId job =
-      engine.AddJob(std::make_unique<HeatDiffusionProgram>(/*seed_vertex=*/0,
+      engine.Submit(std::make_unique<HeatDiffusionProgram>(/*seed_vertex=*/0,
                                                            /*retention=*/0.5,
-                                                           /*epsilon=*/1e-9));
-  const RunReport report = engine.Run();
+                                                           /*epsilon=*/1e-9)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
 
   const auto heat = engine.FinalValues(job);
   const double total = std::accumulate(heat.begin(), heat.end(), 0.0);

@@ -39,10 +39,11 @@ int main() {
   EngineOptions options;
   options.num_workers = 4;
   LtpEngine engine(&store, options);
-  const JobId j0 = engine.AddJob(std::make_unique<WccProgram>(), /*submit_time=*/0);
-  const JobId j1 = engine.AddJob(std::make_unique<WccProgram>(), /*submit_time=*/10);
-  const JobId j2 = engine.AddJob(std::make_unique<WccProgram>(), /*submit_time=*/20);
-  const RunReport report = engine.Run();
+  const JobId j0 = engine.Submit(std::make_unique<WccProgram>(), /*submit_time=*/0).id();
+  const JobId j1 = engine.Submit(std::make_unique<WccProgram>(), /*submit_time=*/10).id();
+  const JobId j2 = engine.Submit(std::make_unique<WccProgram>(), /*submit_time=*/20).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
 
   auto components = [&engine](JobId id) {
     const auto labels = engine.FinalValues(id);

@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   EngineOptions options;
   options.num_workers = 4;
   LtpEngine engine(&graph, options);
-  const JobId job = engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-9));
-  const RunReport report = engine.Run();
+  const JobId job = engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-9)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
 
   std::printf("converged in %llu iterations (%.1f ms wall)\n",
               static_cast<unsigned long long>(report.jobs[0].iterations),

@@ -33,10 +33,11 @@ int main() {
 
   // PageRank starts immediately; a BFS arrives after 30 partition loads; a WCC arrives
   // after 80 more.
-  engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-6));
-  engine.ScheduleJob(std::make_unique<BfsProgram>(source), /*arrival_step=*/30);
-  engine.ScheduleJob(std::make_unique<WccProgram>(), /*arrival_step=*/110);
-  const RunReport report = engine.Run();
+  engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-6));
+  engine.SubmitAt(std::make_unique<BfsProgram>(source), /*arrival_step=*/30);
+  engine.SubmitAt(std::make_unique<WccProgram>(), /*arrival_step=*/110);
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
 
   std::printf("three jobs with staggered arrivals on a %u-vertex graph:\n\n",
               edges.num_vertices());

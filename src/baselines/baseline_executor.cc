@@ -83,7 +83,7 @@ const GraphPartition& BaselineExecutor::ResolveData(const Job& job, PartitionId 
   return snapshots_->Resolve(p, job.submit_time());
 }
 
-JobId BaselineExecutor::AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time) {
+JobId BaselineExecutor::Submit(std::unique_ptr<VertexProgram> program, Timestamp submit_time) {
   CGRAPH_CHECK(!ran_);
   const auto it =
       std::lower_bound(snapshot_ordinals_.begin(), snapshot_ordinals_.end(), submit_time);

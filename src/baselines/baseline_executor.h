@@ -88,7 +88,8 @@ class BaselineExecutor {
   BaselineExecutor(const BaselineExecutor&) = delete;
   BaselineExecutor& operator=(const BaselineExecutor&) = delete;
 
-  JobId AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time = 0);
+  // Queues a job; Run() admits every queued job at once. Pre: Run() was not called yet.
+  JobId Submit(std::unique_ptr<VertexProgram> program, Timestamp submit_time = 0);
 
   RunReport Run();
 

@@ -120,23 +120,11 @@ struct EngineOptions {
   ExecutionMode execution_mode = ExecutionMode::kBsp;
 
   // Bounded-staleness window for kAsync (CLI: --staleness): master->mirror broadcasts
-  // may be withheld for at most this many iterations before a forced sync. 0 makes
-  // every push a sync boundary — i.e. async degenerates to BSP and is treated as BSP
-  // (re-drain included). Ignored under kBsp.
+  // may be withheld for at most this many iterations before a forced sync, and only
+  // while the boundary is hot (see PushStage::Push). 0 makes every push a sync
+  // boundary — i.e. async degenerates to BSP and is treated as BSP (re-drain included).
+  // Ignored under kBsp.
   uint32_t staleness = 1;
-
-  // Adaptive deferral (kAsync): the staleness window is an upper bound, not a mandate.
-  // A push boundary defers its broadcast only while the iteration is "hot" — the number
-  // of fresh master broadcast records is at least (total replicated masters) /
-  // async_defer_divisor. Cold boundaries sync immediately: deferral batches high-churn
-  // phases without stretching the critical path, which away from those phases is a
-  // latency-bound cross-partition chain that a withheld broadcast delays by a whole
-  // iteration. The default 1 defers only boundaries where essentially the entire
-  // replicated population is churning (an all-active flood, e.g. WCC's first waves) —
-  // the strictest setting, and the one that wins modeled time as well as compute units;
-  // larger divisors widen deferral (more batching, more iteration stretch), 0 always
-  // defers up to the staleness bound (fixed-window ablation).
-  uint32_t async_defer_divisor = 1;
 
   // Safety valve against non-converging programs.
   uint64_t max_iterations_per_job = 10000;

@@ -58,19 +58,6 @@ LtpEngine::JobHandle LtpEngine::SubmitAt(std::unique_ptr<VertexProgram> program,
   return JobHandle(this, id);
 }
 
-JobId LtpEngine::AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time) {
-  CGRAPH_CHECK(!ran_);
-  CGRAPH_CHECK(manager_->num_jobs() < options_.max_jobs);
-  return Submit(std::move(program), submit_time).id();
-}
-
-JobId LtpEngine::ScheduleJob(std::unique_ptr<VertexProgram> program, uint64_t arrival_step,
-                             Timestamp submit_time) {
-  CGRAPH_CHECK(!ran_);
-  CGRAPH_CHECK(manager_->num_jobs() < options_.max_jobs);
-  return SubmitAt(std::move(program), arrival_step, submit_time).id();
-}
-
 bool LtpEngine::Step() {
   ScopedThreadRole role(g_driver_role);
   WallTimer timer;
@@ -126,16 +113,6 @@ void LtpEngine::Wait(JobId id) {
   }
 }
 
-RunReport LtpEngine::Run() {
-  CGRAPH_CHECK(!ran_);
-  ran_ = true;
-  // The memory tier starts cold: every structure copy and private table streams in from
-  // disk on first use. Systems that share one structure copy therefore pay the initial
-  // load once, per-job-copy systems pay it per job — part of what Figs. 2/13/19 measure.
-  RunUntilIdle();
-  return Report();
-}
-
 RunReport LtpEngine::Report() const {
   RunReport report;
   report.executor_name = options_.use_scheduler ? "cgraph-ltp" : "cgraph-without";
@@ -161,10 +138,8 @@ void LtpEngine::ProcessPartition(PartitionId p) {
       // Load-stage faults fire before the structure load; the failed job drops out of
       // the group (every stage skips finished jobs) while its co-runners proceed.
       for (Job* job : group.jobs) {
-        if (!job->finished_ &&
-            injector_.Poll(FaultKind::kLoadError, step_, job->id()) != nullptr) {
-          manager_->FailJob(*job, Status::Internal("injected load-stage fault at step " +
-                                                   std::to_string(step_)));
+        if (!job->finished_) {
+          InjectFault(FaultKind::kLoadError, *job, "load-stage fault");
         }
       }
     }
@@ -177,25 +152,14 @@ void LtpEngine::ProcessPartition(PartitionId p) {
       if (job->finished_) {
         continue;  // Failed or was cancelled earlier in this very step.
       }
-      if (injector_.armed()) {
-        if (injector_.Poll(FaultKind::kTriggerError, step_, job->id()) != nullptr) {
-          manager_->FailJob(*job, Status::Internal("injected trigger-stage fault at step " +
-                                                   std::to_string(step_)));
-          continue;
-        }
-        if (injector_.Poll(FaultKind::kCorruptState, step_, job->id()) != nullptr) {
-          CorruptJobState(*job);
-          manager_->FailJob(*job, Status::Internal("injected state corruption at step " +
-                                                   std::to_string(step_)));
-          continue;
-        }
+      if (injector_.armed() &&
+          (InjectFault(FaultKind::kTriggerError, *job, "trigger-stage fault") ||
+           InjectFault(FaultKind::kCorruptState, *job, "state corruption"))) {
+        continue;
       }
       push_->CollectMirrorRecords(*job, p);
       if (manager_->MarkProcessed(*job, p)) {
-        if (injector_.armed() &&
-            injector_.Poll(FaultKind::kPushError, step_, job->id()) != nullptr) {
-          manager_->FailJob(*job, Status::Internal("injected push-stage fault at step " +
-                                                   std::to_string(step_)));
+        if (injector_.armed() && InjectFault(FaultKind::kPushError, *job, "push-stage fault")) {
           continue;
         }
         push_->Push(*job);
@@ -208,6 +172,18 @@ void LtpEngine::ProcessPartition(PartitionId p) {
       }
     }
   }
+}
+
+bool LtpEngine::InjectFault(FaultKind kind, Job& job, const char* what) {
+  if (injector_.Poll(kind, step_, job.id()) == nullptr) {
+    return false;
+  }
+  if (kind == FaultKind::kCorruptState) {
+    CorruptJobState(job);
+  }
+  manager_->FailJob(job, Status::Internal(std::string("injected ") + what + " at step " +
+                                          std::to_string(step_)));
+  return true;
 }
 
 void LtpEngine::CorruptJobState(Job& job) {

@@ -20,8 +20,6 @@
 // (section 3.4). Everything is deterministic and thread-free at this level (workers
 // parallelize only within a trigger), so arrival interleavings are reproducible in tests.
 //
-// Run() survives as a one-shot batch wrapper over Submit/RunUntilIdle for legacy callers.
-//
 // When constructed over a SnapshotStore, each job binds to the newest snapshot not newer
 // than its submit time; jobs on different snapshots still share every unchanged partition
 // version (section 3.2.1, Figs. 16-19).
@@ -109,11 +107,15 @@ class LtpEngine {
 
   // Drives Step() until the engine is idle. Post: AllIdle; every job submitted so far
   // has finished (each converges or hits max_iterations_per_job, so this terminates).
+  //
+  // The memory tier starts cold: every structure copy and private table streams in from
+  // disk on first use. Systems that share one structure copy therefore pay the initial
+  // load once, per-job-copy systems pay it per job — part of what Figs. 2/13/19 measure.
   void RunUntilIdle();
 
   // Drives the engine until job `id` completes.
   //
-  // Pre:  `id` was returned by a Submit/SubmitAt/AddJob/ScheduleJob call on this engine.
+  // Pre:  `id` was returned by a Submit/SubmitAt call on this engine.
   // Post: job(id).finished(); other jobs may have progressed but not necessarily done.
   void Wait(JobId id);
 
@@ -174,19 +176,7 @@ class LtpEngine {
   // Specs fired so far by the fault-injection harness (0 when unarmed).
   size_t faults_fired() const { return injector_.fired(); }
 
-  // --- Legacy batch API ------------------------------------------------------------
-
-  // Registers a job. Must be called before Run(); admission beyond max_jobs is a
-  // programmer error here (Submit() queues instead).
-  JobId AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time = 0);
-
-  // Schedules a job to arrive after `arrival_step` steps (paper section 3.4). Must be
-  // called before Run().
-  JobId ScheduleJob(std::unique_ptr<VertexProgram> program, uint64_t arrival_step,
-                    Timestamp submit_time = 0);
-
-  // One-shot batch wrapper: executes every job to convergence and returns the report.
-  RunReport Run();
+  // --- Introspection ---------------------------------------------------------------
 
   size_t num_jobs() const { return manager_->num_jobs(); }
   const Job& job(JobId id) const { return manager_->job(id); }
@@ -224,6 +214,10 @@ class LtpEngine {
   // fail_status_ routing (per-job failure isolation) live here, between the stages.
   void ProcessPartition(PartitionId p) CGRAPH_REQUIRES_DRIVER;
 
+  // Polls for a `kind` fault on `job` at this step; when one fires, applies the
+  // kCorruptState payload, fails the job ("injected <what> at step N") and returns true.
+  bool InjectFault(FaultKind kind, Job& job, const char* what) CGRAPH_REQUIRES_DRIVER;
+
   // Scribbles NaN into one deterministically chosen vertex of the job's private table
   // (the kCorruptState payload) so recovery tests can prove a restore discards damage.
   void CorruptJobState(Job& job) CGRAPH_REQUIRES_DRIVER;
@@ -245,7 +239,6 @@ class LtpEngine {
   std::vector<bool> eligible_;  // Per-partition scheduling eligibility (currently all).
   uint64_t step_ = 0;           // Partition-scheduling steps executed.
   double total_elapsed_ = 0.0;  // Wall seconds spent inside Step() so far.
-  bool ran_ = false;            // Legacy Run() called (guards the one-shot contract).
 };
 
 inline bool LtpEngine::JobHandle::done() const {

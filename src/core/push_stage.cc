@@ -82,13 +82,14 @@ void PushStage::Push(Job& job) {
   // the mirror's own prior contribution was already merged upstream).
   uint64_t broadcast_records = 0;
   bool sync_boundary = !job.async_ || job.since_sync_ >= options_.staleness;
-  if (!sync_boundary && options_.async_defer_divisor > 0) {
+  if (!sync_boundary) {
     // Adaptive deferral: the staleness window is an upper bound, not a mandate. Count
     // the fresh master records this boundary would withhold; a cold boundary (the
     // convergence tail, where the critical path is a latency-bound cross-partition
     // chain) syncs immediately instead of stretching it by a whole iteration. Only hot
     // boundaries — where batching several waves into one Acc-combined record pays —
-    // actually defer.
+    // actually defer. Hot means fresh records >= replicated masters, i.e. an all-active
+    // flood such as wcc's first waves (why this is fixed: docs/execution_modes.md).
     uint64_t fresh = 0;
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
       if (!job.dirty_[p]) {
@@ -100,7 +101,7 @@ void PushStage::Push(Job& job) {
         fresh += states[v].delta_next != identity ? 1 : 0;
       }
     }
-    sync_boundary = fresh * options_.async_defer_divisor < total_replicated_;
+    sync_boundary = fresh < total_replicated_;
   }
   if (sync_boundary) {
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {

@@ -52,7 +52,7 @@ class PushStage {
   JobManager* manager_;
   EngineOptions options_;
   // Replicated masters across all partitions — the scale against which the adaptive
-  // deferral policy (EngineOptions::async_defer_divisor) judges a boundary hot or cold.
+  // deferral policy judges a boundary hot or cold.
   uint64_t total_replicated_ = 0;
 };
 

@@ -164,8 +164,8 @@ TEST_F(NewAlgorithmEngineTest, PersonalizedPageRankMatchesReference) {
   const VertexId seed = PickSourceVertex(edges_);
   LtpEngine engine(&pg_, options_);
   const JobId id =
-      engine.AddJob(std::make_unique<PersonalizedPageRankProgram>(seed, 0.85, 1e-11));
-  engine.Run();
+      engine.Submit(std::make_unique<PersonalizedPageRankProgram>(seed, 0.85, 1e-11)).id();
+  engine.RunUntilIdle();
   const auto expected = ReferencePersonalizedPageRank(graph_, seed, 0.85, 1e-11);
   const auto actual = engine.FinalValues(id);
   for (size_t v = 0; v < expected.size(); ++v) {
@@ -177,8 +177,8 @@ TEST_F(NewAlgorithmEngineTest, KHopMatchesReferenceAndTruncates) {
   const VertexId source = PickSourceVertex(edges_);
   for (const uint32_t hops : {0u, 1u, 2u, 4u}) {
     LtpEngine engine(&pg_, options_);
-    const JobId id = engine.AddJob(std::make_unique<KHopProgram>(source, hops));
-    engine.Run();
+    const JobId id = engine.Submit(std::make_unique<KHopProgram>(source, hops)).id();
+    engine.RunUntilIdle();
     const auto expected = ReferenceKHop(graph_, source, hops);
     const auto actual = engine.FinalValues(id);
     for (size_t v = 0; v < expected.size(); ++v) {
@@ -195,12 +195,14 @@ TEST_F(NewAlgorithmEngineTest, KHopMatchesReferenceAndTruncates) {
 TEST_F(NewAlgorithmEngineTest, KHopTouchesLessDataThanBfs) {
   const VertexId source = PickSourceVertex(edges_);
   LtpEngine khop_engine(&pg_, options_);
-  khop_engine.AddJob(std::make_unique<KHopProgram>(source, 1));
-  const RunReport khop = khop_engine.Run();
+  khop_engine.Submit(std::make_unique<KHopProgram>(source, 1));
+  khop_engine.RunUntilIdle();
+  const RunReport khop = khop_engine.Report();
 
   LtpEngine bfs_engine(&pg_, options_);
-  bfs_engine.AddJob(std::make_unique<BfsProgram>(source));
-  const RunReport bfs = bfs_engine.Run();
+  bfs_engine.Submit(std::make_unique<BfsProgram>(source));
+  bfs_engine.RunUntilIdle();
+  const RunReport bfs = bfs_engine.Report();
 
   EXPECT_LT(khop.jobs[0].charge.total_bytes(), bfs.jobs[0].charge.total_bytes());
   EXPECT_LE(khop.jobs[0].iterations, bfs.jobs[0].iterations);
@@ -209,8 +211,8 @@ TEST_F(NewAlgorithmEngineTest, KHopTouchesLessDataThanBfs) {
 TEST_F(NewAlgorithmEngineTest, PprMassBounded) {
   const VertexId seed = PickSourceVertex(edges_);
   LtpEngine engine(&pg_, options_);
-  const JobId id = engine.AddJob(std::make_unique<PersonalizedPageRankProgram>(seed));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<PersonalizedPageRankProgram>(seed)).id();
+  engine.RunUntilIdle();
   double total = 0.0;
   for (const double v : engine.FinalValues(id)) {
     EXPECT_GE(v, 0.0);

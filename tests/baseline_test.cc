@@ -46,10 +46,10 @@ TEST_P(BaselineSystemTest, FourJobMixMatchesReferences) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   BaselineExecutor executor(&pg, MakeOptions(GetParam()));
-  const JobId pr = executor.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-  const JobId ss = executor.AddJob(std::make_unique<SsspProgram>(source));
-  const JobId sc = executor.AddJob(std::make_unique<SccProgram>());
-  const JobId bf = executor.AddJob(std::make_unique<BfsProgram>(source));
+  const JobId pr = executor.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
+  const JobId ss = executor.Submit(std::make_unique<SsspProgram>(source));
+  const JobId sc = executor.Submit(std::make_unique<SccProgram>());
+  const JobId bf = executor.Submit(std::make_unique<BfsProgram>(source));
   const RunReport report = executor.Run();
   EXPECT_EQ(report.executor_name, BaselineSystemName(GetParam()));
 
@@ -71,8 +71,8 @@ TEST_P(BaselineSystemTest, WccAndKcoreMatchReferences) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   BaselineExecutor executor(&pg, MakeOptions(GetParam()));
-  const JobId wc = executor.AddJob(std::make_unique<WccProgram>());
-  const JobId kc = executor.AddJob(std::make_unique<KCoreProgram>(4));
+  const JobId wc = executor.Submit(std::make_unique<WccProgram>());
+  const JobId kc = executor.Submit(std::make_unique<KCoreProgram>(4));
   executor.Run();
   test_support::ExpectNearValues(executor.FinalValues(wc), ReferenceWcc(g), 0.0, "wcc");
   const auto aux = executor.FinalAux(kc);
@@ -95,7 +95,7 @@ TEST_P(BaselineSystemTest, ModeledCsvMatchesGolden) {
     options.engine.num_workers = workers;
     BaselineExecutor executor(&pg, options);
     for (const char* job : {"pagerank", "ppr", "sssp", "wcc", "bfs", "kcore", "scc", "khop"}) {
-      executor.AddJob(MakeProgram(job, source));
+      executor.Submit(MakeProgram(job, source));
     }
     const std::string name = std::string("baseline_") + BaselineSystemName(GetParam()) +
                              "_w" + std::to_string(workers) + ".csv";
@@ -141,7 +141,7 @@ struct MixRunner {
     }
     const auto names = BenchmarkJobNames(num_jobs);
     for (const auto& name : names) {
-      executor.AddJob(MakeProgram(name, source));
+      executor.Submit(MakeProgram(name, source));
     }
   }
 };
@@ -164,7 +164,8 @@ TEST_F(BaselinePolicyTest, CGraphSharesLoadsBetterThanSeraph) {
 
   LtpEngine engine(&pg_, test_support::TestEngineOptions());
   MixRunner::AddMix(engine, pg_, 4);
-  const RunReport cgraph = engine.Run();
+  engine.RunUntilIdle();
+  const RunReport cgraph = engine.Report();
 
   // The LTP engine amortizes structure loads across jobs: less volume swapped into the
   // cache and a lower miss rate than Seraph's individual traversals.
@@ -184,13 +185,13 @@ TEST_F(BaselinePolicyTest, ClipReentryReducesIterations) {
 
   BaselineOptions seraph_options = MakeOptions(BaselineSystem::kSeraph);
   BaselineExecutor seraph(&path_pg, seraph_options);
-  seraph.AddJob(std::make_unique<SsspProgram>(0));
+  seraph.Submit(std::make_unique<SsspProgram>(0));
   const RunReport seraph_report = seraph.Run();
 
   BaselineOptions clip_options = MakeOptions(BaselineSystem::kClip);
   clip_options.clip_reentry_limit = 2000;
   BaselineExecutor clip(&path_pg, clip_options);
-  clip.AddJob(std::make_unique<SsspProgram>(0));
+  clip.Submit(std::make_unique<SsspProgram>(0));
   const RunReport clip_report = clip.Run();
 
   EXPECT_LT(clip_report.jobs[0].iterations, seraph_report.jobs[0].iterations / 10);

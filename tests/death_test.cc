@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 
-#include "src/algorithms/wcc.h"
 #include "src/common/check.h"
 #include "src/common/status.h"
-#include "src/core/ltp_engine.h"
 #include "src/core/scheduler.h"
 #include "src/graph/generators.h"
 #include "src/partition/partitioned_graph.h"
@@ -47,45 +44,6 @@ TEST(SchedulerDeathTest, ThetaScaleOutsideUnitIntervalAborts) {
                "CHECK failed");
   EXPECT_DEATH(Scheduler(pg, true, 1.5), "CHECK failed");
   EXPECT_DEATH(Scheduler(pg, true, -0.5), "CHECK failed");
-}
-
-TEST(EngineDeathTest, AddJobAfterRunAborts) {
-  const EdgeList edges = GenerateRing(8);
-  PartitionOptions popts;
-  popts.num_partitions = 2;
-  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
-  EngineOptions options;
-  options.num_workers = 1;
-  LtpEngine engine(&pg, options);
-  engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
-  EXPECT_DEATH(engine.AddJob(std::make_unique<WccProgram>()), "CHECK failed");
-}
-
-TEST(EngineDeathTest, SecondRunAborts) {
-  const EdgeList edges = GenerateRing(8);
-  PartitionOptions popts;
-  popts.num_partitions = 2;
-  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
-  EngineOptions options;
-  options.num_workers = 1;
-  LtpEngine engine(&pg, options);
-  engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
-  EXPECT_DEATH(engine.Run(), "CHECK failed");
-}
-
-TEST(EngineDeathTest, TooManyJobsAborts) {
-  const EdgeList edges = GenerateRing(8);
-  PartitionOptions popts;
-  popts.num_partitions = 2;
-  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
-  EngineOptions options;
-  options.num_workers = 1;
-  options.max_jobs = 1;
-  LtpEngine engine(&pg, options);
-  engine.AddJob(std::make_unique<WccProgram>());
-  EXPECT_DEATH(engine.AddJob(std::make_unique<WccProgram>()), "CHECK failed");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Property suite: algorithm results must be invariant to every execution-configuration
-// knob — partition count, worker count, partition layout, edge assignment, eviction
+// knob — partition count, worker count, partition layout, partitioner, eviction
 // policy, scheduler toggles. Only the *costs* may change, never the answers.
 
 #include <gtest/gtest.h>
@@ -43,9 +43,9 @@ TEST_P(ConfigInvarianceTest, TraversalResultsExact) {
   EngineOptions options;
   options.num_workers = workers;
   LtpEngine engine(&pg, options);
-  const JobId sssp = engine.AddJob(MakeProgram("sssp", source));
-  const JobId wcc = engine.AddJob(MakeProgram("wcc", source));
-  engine.Run();
+  const JobId sssp = engine.Submit(MakeProgram("sssp", source)).id();
+  const JobId wcc = engine.Submit(MakeProgram("wcc", source)).id();
+  engine.RunUntilIdle();
 
   const auto sssp_expected = ReferenceSssp(g, source);
   const auto sssp_actual = engine.FinalValues(sssp);
@@ -87,28 +87,27 @@ TEST(PolicyInvarianceTest, EvictionPolicyDoesNotChangeResults) {
     options.hierarchy.cache_capacity_bytes = 32ull << 10;
     options.hierarchy.cache_segment_bytes = 4ull << 10;
     LtpEngine engine(&pg, options);
-    const JobId id = engine.AddJob(MakeProgram("wcc", 0));
-    engine.Run();
+    const JobId id = engine.Submit(MakeProgram("wcc", 0)).id();
+    engine.RunUntilIdle();
     EXPECT_EQ(engine.FinalValues(id), ReferenceWcc(g));
   }
 }
 
-TEST(PolicyInvarianceTest, EdgeAssignmentDoesNotChangeResults) {
+TEST(PolicyInvarianceTest, PartitionerDoesNotChangeResults) {
   const EdgeList& edges = TestEdges();
   const Graph g = Graph::FromEdges(edges);
   const VertexId source = PickSourceVertex(edges);
-  for (const auto assignment :
-       {EdgeAssignment::kChunkedEvenEdges, EdgeAssignment::kHashBySource}) {
+  for (const auto partitioner : {PartitionerKind::kEvenEdge, PartitionerKind::kHashSource}) {
     PartitionOptions popts;
     popts.num_partitions = 8;
-    popts.assignment = assignment;
-    popts.core_subgraph = assignment == EdgeAssignment::kChunkedEvenEdges;
+    popts.partitioner = partitioner;
+    popts.core_subgraph = partitioner == PartitionerKind::kEvenEdge;
     const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
     EngineOptions options;
     options.num_workers = 4;
     LtpEngine engine(&pg, options);
-    const JobId id = engine.AddJob(MakeProgram("bfs", source));
-    engine.Run();
+    const JobId id = engine.Submit(MakeProgram("bfs", source)).id();
+    engine.RunUntilIdle();
     const auto expected = ReferenceBfs(g, source);
     const auto actual = engine.FinalValues(id);
     for (size_t v = 0; v < expected.size(); ++v) {
@@ -133,8 +132,8 @@ TEST(PolicyInvarianceTest, CacheCapacityDoesNotChangeResults) {
     options.hierarchy.cache_capacity_bytes = cache_kib << 10;
     options.hierarchy.cache_segment_bytes = 2ull << 10;
     LtpEngine engine(&pg, options);
-    const JobId id = engine.AddJob(MakeProgram("wcc", 0));
-    engine.Run();
+    const JobId id = engine.Submit(MakeProgram("wcc", 0)).id();
+    engine.RunUntilIdle();
     EXPECT_EQ(engine.FinalValues(id), ReferenceWcc(g)) << cache_kib;
   }
 }
@@ -152,8 +151,8 @@ TEST(PolicyInvarianceTest, SchedulerTogglesDoNotChangeResults) {
       options.use_scheduler = scheduler;
       options.theta_scale = theta;
       LtpEngine engine(&pg, options);
-      const JobId id = engine.AddJob(MakeProgram("wcc", 0));
-      engine.Run();
+      const JobId id = engine.Submit(MakeProgram("wcc", 0)).id();
+      engine.RunUntilIdle();
       EXPECT_EQ(engine.FinalValues(id), ReferenceWcc(g));
     }
   }

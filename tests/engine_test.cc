@@ -46,8 +46,8 @@ TEST_P(EngineAlgorithmTest, PageRankMatchesReference) {
   const GraphCase& c = Case();
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10)).id();
+  engine.RunUntilIdle();
   const auto expected = ReferencePageRank(Graph::FromEdges(c.edges), 0.85, 1e-10);
   test_support::ExpectNearValues(engine.FinalValues(id), expected, 1e-6, c.name + "/pagerank");
 }
@@ -57,8 +57,8 @@ TEST_P(EngineAlgorithmTest, SsspMatchesDijkstra) {
   const VertexId source = PickSourceVertex(c.edges);
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<SsspProgram>(source));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<SsspProgram>(source)).id();
+  engine.RunUntilIdle();
   const auto expected = ReferenceSssp(Graph::FromEdges(c.edges), source);
   test_support::ExpectNearValues(engine.FinalValues(id), expected, 1e-12, c.name + "/sssp");
 }
@@ -68,8 +68,8 @@ TEST_P(EngineAlgorithmTest, BfsMatchesReference) {
   const VertexId source = PickSourceVertex(c.edges);
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<BfsProgram>(source));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<BfsProgram>(source)).id();
+  engine.RunUntilIdle();
   const auto expected = ReferenceBfs(Graph::FromEdges(c.edges), source);
   test_support::ExpectNearValues(engine.FinalValues(id), expected, 0.0, c.name + "/bfs");
 }
@@ -81,8 +81,8 @@ TEST_P(EngineAlgorithmTest, WccMatchesUnionFind) {
   }
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<WccProgram>()).id();
+  engine.RunUntilIdle();
   const auto expected = ReferenceWcc(Graph::FromEdges(c.edges));
   // Min-label propagation converges to the minimum member id — identical to union-by-min.
   test_support::ExpectNearValues(engine.FinalValues(id), expected, 0.0, c.name + "/wcc");
@@ -92,8 +92,8 @@ TEST_P(EngineAlgorithmTest, SccMatchesTarjan) {
   const GraphCase& c = Case();
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<SccProgram>());
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<SccProgram>()).id();
+  engine.RunUntilIdle();
   std::vector<double> labels = engine.FinalAux(id);
   for (double& l : labels) {
     l -= 1.0;  // aux stores component + 1.
@@ -106,8 +106,8 @@ TEST_P(EngineAlgorithmTest, KCoreMatchesPeeling) {
   const GraphCase& c = Case();
   const PartitionedGraph pg = Partition(c.edges);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<KCoreProgram>(3));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<KCoreProgram>(3)).id();
+  engine.RunUntilIdle();
   const auto aux = engine.FinalAux(id);  // 1.0 = peeled.
   const auto expected = ReferenceKCore(Graph::FromEdges(c.edges), 3);  // 1.0 = in core.
   ASSERT_EQ(aux.size(), expected.size());
@@ -133,13 +133,14 @@ TEST(EngineTest, ConcurrentJobMixAllCorrect) {
   const PartitionedGraph pg = Partition(edges, 12);
 
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId pr = engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-  const JobId ss = engine.AddJob(std::make_unique<SsspProgram>(source));
-  const JobId sc = engine.AddJob(std::make_unique<SccProgram>());
-  const JobId bf = engine.AddJob(std::make_unique<BfsProgram>(source));
-  const JobId wc = engine.AddJob(std::make_unique<WccProgram>());
-  const JobId kc = engine.AddJob(std::make_unique<KCoreProgram>(4));
-  const RunReport report = engine.Run();
+  const JobId pr = engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10)).id();
+  const JobId ss = engine.Submit(std::make_unique<SsspProgram>(source)).id();
+  const JobId sc = engine.Submit(std::make_unique<SccProgram>()).id();
+  const JobId bf = engine.Submit(std::make_unique<BfsProgram>(source)).id();
+  const JobId wc = engine.Submit(std::make_unique<WccProgram>()).id();
+  const JobId kc = engine.Submit(std::make_unique<KCoreProgram>(4)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_EQ(report.jobs.size(), 6u);
 
   test_support::ExpectNearValues(engine.FinalValues(pr), ReferencePageRank(g, 0.85, 1e-10), 1e-6, "mix/pr");
@@ -167,8 +168,8 @@ TEST(EngineTest, SchedulerAblationStillCorrect) {
   options.use_scheduler = false;
   options.straggler_split = false;
   LtpEngine engine(&pg, options);
-  const JobId id = engine.AddJob(std::make_unique<SsspProgram>(source));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<SsspProgram>(source)).id();
+  engine.RunUntilIdle();
   test_support::ExpectNearValues(engine.FinalValues(id), ReferenceSssp(g, source), 1e-12, "ablation/sssp");
 }
 
@@ -179,8 +180,8 @@ TEST(EngineTest, SingleWorkerCorrect) {
   EngineOptions options = test_support::TestEngineOptions();
   options.num_workers = 1;
   LtpEngine engine(&pg, options);
-  const JobId id = engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<WccProgram>()).id();
+  engine.RunUntilIdle();
   test_support::ExpectNearValues(engine.FinalValues(id), ReferenceWcc(g), 0.0, "single-worker/wcc");
 }
 
@@ -190,8 +191,9 @@ TEST(EngineTest, BfsIterationsTrackFrontierDepth) {
   EdgeList path = GeneratePath(40);
   const PartitionedGraph pg = Partition(path, 1);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<BfsProgram>(0));
-  const RunReport report = engine.Run();
+  const JobId id = engine.Submit(std::make_unique<BfsProgram>(0)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_GE(report.jobs[0].iterations, 39u);
   (void)id;
 }
@@ -202,9 +204,10 @@ TEST(EngineTest, InactivePartitionsAreSkipped) {
   const EdgeList star = GenerateStar(512);
   const PartitionedGraph pg = Partition(star, 8);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId bfs = engine.AddJob(std::make_unique<BfsProgram>(0));
-  const JobId pr = engine.AddJob(std::make_unique<PageRankProgram>());
-  const RunReport report = engine.Run();
+  const JobId bfs = engine.Submit(std::make_unique<BfsProgram>(0)).id();
+  const JobId pr = engine.Submit(std::make_unique<PageRankProgram>()).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_LT(report.jobs[bfs].iterations, report.jobs[pr].iterations);
   EXPECT_LT(report.jobs[bfs].charge.total_bytes(), report.jobs[pr].charge.total_bytes());
 }
@@ -217,9 +220,10 @@ TEST(EngineTest, DeterministicReportsForExactAlgorithms) {
   RunReport second;
   for (RunReport* out : {&first, &second}) {
     LtpEngine engine(&pg, test_support::TestEngineOptions());
-    engine.AddJob(std::make_unique<BfsProgram>(source));
-    engine.AddJob(std::make_unique<WccProgram>());
-    *out = engine.Run();
+    engine.Submit(std::make_unique<BfsProgram>(source));
+    engine.Submit(std::make_unique<WccProgram>());
+    engine.RunUntilIdle();
+    *out = engine.Report();
   }
   EXPECT_EQ(first.cache.touches, second.cache.touches);
   EXPECT_EQ(first.cache.misses, second.cache.misses);
@@ -236,8 +240,9 @@ TEST(EngineTest, EmptyGraphFinishesImmediately) {
   EdgeList empty;
   const PartitionedGraph pg = Partition(empty, 4);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  engine.AddJob(std::make_unique<WccProgram>());
-  const RunReport report = engine.Run();
+  engine.Submit(std::make_unique<WccProgram>());
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_EQ(report.jobs[0].vertex_computes, 0u);
 }
 
@@ -245,8 +250,9 @@ TEST(EngineTest, SourceOutsideGraphConvergesInstantly) {
   const EdgeList edges = GenerateRing(16);
   const PartitionedGraph pg = Partition(edges, 2);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  const JobId id = engine.AddJob(std::make_unique<SsspProgram>(999));
-  const RunReport report = engine.Run();
+  const JobId id = engine.Submit(std::make_unique<SsspProgram>(999)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_EQ(report.jobs[0].vertex_computes, 0u);
   for (double d : engine.FinalValues(id)) {
     EXPECT_TRUE(std::isinf(d));
@@ -260,8 +266,9 @@ TEST(EngineTest, MaxIterationSafetyValve) {
   options.max_iterations_per_job = 3;
   LtpEngine engine(&pg, options);
   // PageRank on a ring takes many iterations; the valve must stop it at 3.
-  engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-15));
-  const RunReport report = engine.Run();
+  engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-15));
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_EQ(report.jobs[0].iterations, 3u);
 }
 
@@ -269,8 +276,9 @@ TEST(EngineTest, JobStatsArePopulated) {
   const EdgeList edges = GenerateErdosRenyi(200, 1600, 3);
   const PartitionedGraph pg = Partition(edges, 4);
   LtpEngine engine(&pg, test_support::TestEngineOptions());
-  engine.AddJob(std::make_unique<PageRankProgram>());
-  const RunReport report = engine.Run();
+  engine.Submit(std::make_unique<PageRankProgram>());
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   const JobStats& stats = report.jobs[0];
   EXPECT_EQ(stats.job_name, "pagerank");
   EXPECT_GT(stats.iterations, 0u);
@@ -297,9 +305,9 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   // see the base graph.
   store.CreateSnapshot(10, 1.0, 3);
   LtpEngine engine(&store, test_support::TestEngineOptions());
-  const JobId old_job = engine.AddJob(std::make_unique<WccProgram>(), /*submit_time=*/0);
-  const JobId new_job = engine.AddJob(std::make_unique<WccProgram>(), /*submit_time=*/10);
-  engine.Run();
+  const JobId old_job = engine.Submit(std::make_unique<WccProgram>(), /*submit_time=*/0).id();
+  const JobId new_job = engine.Submit(std::make_unique<WccProgram>(), /*submit_time=*/10).id();
+  engine.RunUntilIdle();
   const Graph base_graph = Graph::FromEdges(edges);
   test_support::ExpectNearValues(engine.FinalValues(old_job), ReferenceWcc(base_graph), 0.0, "snapshot/old");
   // The new job ran on the rewired graph; just verify it converged to a valid labeling
@@ -323,11 +331,12 @@ TEST(EngineTest, ParallelSweepThresholdZeroMatchesDefault) {
     options.parallel_sweep_threshold = threshold;
     LtpEngine engine(&pg, options);
     // Min-accumulator and exact-sum jobs only: deterministic even with 4 workers.
-    engine.AddJob(std::make_unique<SsspProgram>(source));
-    engine.AddJob(std::make_unique<BfsProgram>(source));
-    engine.AddJob(std::make_unique<WccProgram>());
-    engine.AddJob(std::make_unique<KCoreProgram>(3));
-    RunReport report = engine.Run();
+    engine.Submit(std::make_unique<SsspProgram>(source));
+    engine.Submit(std::make_unique<BfsProgram>(source));
+    engine.Submit(std::make_unique<WccProgram>());
+    engine.Submit(std::make_unique<KCoreProgram>(3));
+    engine.RunUntilIdle();
+    RunReport report = engine.Report();
     for (JobStats& job : report.jobs) {
       job.wall_seconds = 0.0;
     }

@@ -100,10 +100,10 @@ TEST_P(AsyncEquivalenceTest, MonotonicMixMatchesReferences) {
       const std::string what =
           c.name + "/w" + std::to_string(workers) + "/s" + std::to_string(staleness);
       LtpEngine engine(&pg, AsyncOptions(workers, staleness));
-      const JobId sssp = engine.AddJob(std::make_unique<SsspProgram>(source));
-      const JobId wcc = engine.AddJob(std::make_unique<WccProgram>());
-      const JobId kcore = engine.AddJob(std::make_unique<KCoreProgram>(3));
-      engine.Run();
+      const JobId sssp = engine.Submit(std::make_unique<SsspProgram>(source)).id();
+      const JobId wcc = engine.Submit(std::make_unique<WccProgram>()).id();
+      const JobId kcore = engine.Submit(std::make_unique<KCoreProgram>(3)).id();
+      engine.RunUntilIdle();
       test_support::ExpectNearValues(engine.FinalValues(sssp), want_dist, 1e-12,
                                      what + "/sssp");
       test_support::ExpectNearValues(engine.FinalValues(wcc), want_labels, 0.0,
@@ -131,13 +131,14 @@ class AsyncRmatTest : public ::testing::Test {
 
   RunReport RunMix(const EngineOptions& options, std::vector<JobId>* ids = nullptr) {
     LtpEngine engine(&pg_, options);
-    const JobId sssp = engine.AddJob(std::make_unique<SsspProgram>(0));
-    const JobId wcc = engine.AddJob(std::make_unique<WccProgram>());
-    const JobId kcore = engine.AddJob(std::make_unique<KCoreProgram>(3));
+    const JobId sssp = engine.Submit(std::make_unique<SsspProgram>(0)).id();
+    const JobId wcc = engine.Submit(std::make_unique<WccProgram>()).id();
+    const JobId kcore = engine.Submit(std::make_unique<KCoreProgram>(3)).id();
     if (ids != nullptr) {
       *ids = {sssp, wcc, kcore};
     }
-    return engine.Run();
+    engine.RunUntilIdle();
+    return engine.Report();
   }
 
   EdgeList edges_;
@@ -216,15 +217,17 @@ TEST_F(AsyncRmatTest, NonMonotonicProgramsRunExactBsp) {
   RunReport async_report;
   {
     LtpEngine engine(&pg_, bsp_options);
-    engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-    engine.AddJob(MakeProgram("scc", 0));
-    bsp_report = engine.Run();
+    engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
+    engine.Submit(MakeProgram("scc", 0));
+    engine.RunUntilIdle();
+    bsp_report = engine.Report();
   }
   {
     LtpEngine engine(&pg_, AsyncOptions(4, 8));
-    engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-    engine.AddJob(MakeProgram("scc", 0));
-    async_report = engine.Run();
+    engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
+    engine.Submit(MakeProgram("scc", 0));
+    engine.RunUntilIdle();
+    async_report = engine.Report();
   }
   for (const auto& job : async_report.jobs) {
     EXPECT_FALSE(job.async_execution) << job.job_name;
@@ -239,9 +242,10 @@ TEST_F(AsyncRmatTest, NonMonotonicProgramsRunExactBsp) {
 // everyone still converges to reference results in the same engine run.
 TEST_F(AsyncRmatTest, MixedMonotonicityCoexists) {
   LtpEngine engine(&pg_, AsyncOptions(4, 2));
-  const JobId wcc = engine.AddJob(std::make_unique<WccProgram>());
-  const JobId pr = engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-  const RunReport report = engine.Run();
+  const JobId wcc = engine.Submit(std::make_unique<WccProgram>()).id();
+  const JobId pr = engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_TRUE(report.jobs[wcc].async_execution);
   EXPECT_FALSE(report.jobs[pr].async_execution);
   const Graph g = Graph::FromEdges(edges_);

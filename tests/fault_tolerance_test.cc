@@ -38,10 +38,9 @@ EngineOptions BaseOptions(uint32_t workers, ExecutionMode mode) {
   options.num_workers = workers;
   options.execution_mode = mode;
   if (mode == ExecutionMode::kAsync) {
-    // A wide window with unconditional deferral keeps non-empty deferred buffers at
-    // checkpoint boundaries, so restores must rebuild them correctly.
+    // A wide window: buffers deferred at a hot boundary may outlive several
+    // checkpoints, so restores must rebuild them correctly.
     options.staleness = 8;
-    options.async_defer_divisor = 0;
   }
   return options;
 }
@@ -323,6 +322,7 @@ TEST(WaitSemanticsTest, TryFinalValuesNamesEveryTerminalState) {
 TEST(CheckpointTest, RestoredJobConvergesToTheUndisturbedValues) {
   const EdgeList edges = test_support::FixedRmat(8, 8, 7);
   const PartitionedGraph graph = Partition(edges);
+  const JobId wcc = 1;  // Index of wcc in JobMix().
 
   for (ExecutionMode mode : {ExecutionMode::kBsp, ExecutionMode::kAsync}) {
     for (uint32_t workers : {1u, 4u}) {
@@ -330,22 +330,37 @@ TEST(CheckpointTest, RestoredJobConvergesToTheUndisturbedValues) {
                                " workers=" + std::to_string(workers);
       const EngineOptions clean_options = BaseOptions(workers, mode);
       const BatchRun clean = RunBatch(graph, clean_options);
+      if (mode == ExecutionMode::kAsync) {
+        // wcc's all-active flood is what makes async boundaries hot; without deferral
+        // every restore below would rebuild only empty windows.
+        ASSERT_GT(clean.stats[wcc].deferred_pushes, 0u) << what;
+      }
 
       for (JobId victim = 0; victim < static_cast<JobId>(JobMix().size()); ++victim) {
-        EngineOptions options = clean_options;
-        options.checkpoint_every = 1;  // A restart point at every iteration boundary.
         // Late enough that the victim passed a checkpoint, early enough to be running.
-        const uint64_t fault_step = clean.stats[victim].finish_step * 3 / 4;
-        options.fault_specs = {{FaultKind::kTriggerError, fault_step, victim}};
-        const BatchRun recovered = RunBatch(graph, options, /*restart_faulted=*/true);
+        const uint64_t late_step = clean.stats[victim].finish_step * 3 / 4;
+        // wcc touches every partition in its first iteration, so one step per partition
+        // later it has just checkpointed that iteration's boundary — inside the flood,
+        // where the async restore must bring back non-empty deferred windows.
+        std::vector<uint64_t> fault_steps = {late_step};
+        if (victim == wcc) {
+          fault_steps.push_back(graph.num_partitions());
+        }
+        for (const uint64_t fault_step : fault_steps) {
+          EngineOptions options = clean_options;
+          options.checkpoint_every = 1;  // A restart point at every iteration boundary.
+          options.fault_specs = {{FaultKind::kTriggerError, fault_step, victim}};
+          const BatchRun recovered = RunBatch(graph, options, /*restart_faulted=*/true);
 
-        const std::string job_what = what + " victim " + std::to_string(victim);
-        EXPECT_FALSE(recovered.stats[victim].failed) << job_what;
-        EXPECT_EQ(recovered.stats[victim].recoveries, 1u) << job_what;
-        for (JobId id = 0; id < static_cast<JobId>(clean.stats.size()); ++id) {
-          const std::string each = job_what + " job " + std::to_string(id);
-          ExpectSameComputeColumns(recovered.stats[id], clean.stats[id], each);
-          ExpectIdenticalValues(recovered.values[id], clean.values[id], each);
+          const std::string job_what = what + " victim " + std::to_string(victim) +
+                                       " fault_step " + std::to_string(fault_step);
+          EXPECT_FALSE(recovered.stats[victim].failed) << job_what;
+          EXPECT_EQ(recovered.stats[victim].recoveries, 1u) << job_what;
+          for (JobId id = 0; id < static_cast<JobId>(clean.stats.size()); ++id) {
+            const std::string each = job_what + " job " + std::to_string(id);
+            ExpectSameComputeColumns(recovered.stats[id], clean.stats[id], each);
+            ExpectIdenticalValues(recovered.values[id], clean.values[id], each);
+          }
         }
       }
     }

@@ -68,8 +68,8 @@ TEST_P(ExecutorAlgorithmMatrixTest, MatchesReference) {
   std::vector<double> aux;
   if (executor_name == "ltp") {
     LtpEngine engine(&Partitioned(), SmallCacheOptions());
-    const JobId id = engine.AddJob(MakeProgram(algorithm, source));
-    engine.Run();
+    const JobId id = engine.Submit(MakeProgram(algorithm, source)).id();
+    engine.RunUntilIdle();
     values = engine.FinalValues(id);
     aux = engine.FinalAux(id);
   } else {
@@ -83,7 +83,7 @@ TEST_P(ExecutorAlgorithmMatrixTest, MatchesReference) {
       }
     }
     BaselineExecutor executor(&Partitioned(), options);
-    const JobId id = executor.AddJob(MakeProgram(algorithm, source));
+    const JobId id = executor.Submit(MakeProgram(algorithm, source));
     executor.Run();
     values = executor.FinalValues(id);
     aux = executor.FinalAux(id);
@@ -168,10 +168,11 @@ TEST(RuntimeArrivalTest, LateJobComputesCorrectly) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   LtpEngine engine(&pg, SmallCacheOptions());
-  engine.AddJob(MakeProgram("pagerank", 0));
-  const JobId late_wcc = engine.ScheduleJob(std::make_unique<WccProgram>(),
-                                            /*arrival_step=*/25);
-  const RunReport report = engine.Run();
+  engine.Submit(MakeProgram("pagerank", 0));
+  const JobId late_wcc =
+      engine.SubmitAt(std::make_unique<WccProgram>(), /*arrival_step=*/25).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   EXPECT_EQ(report.jobs.size(), 2u);
   EXPECT_EQ(engine.FinalValues(late_wcc), ReferenceWcc(g));
 }
@@ -183,11 +184,11 @@ TEST(RuntimeArrivalTest, ArrivalAfterEveryoneFinished) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   LtpEngine engine(&pg, SmallCacheOptions());
-  engine.AddJob(MakeProgram("bfs", 0));
+  engine.Submit(MakeProgram("bfs", 0));
   // Arrives long after BFS converges; the engine must idle forward and still run it.
-  const JobId late = engine.ScheduleJob(std::make_unique<WccProgram>(),
-                                        /*arrival_step=*/100000);
-  engine.Run();
+  const JobId late =
+      engine.SubmitAt(std::make_unique<WccProgram>(), /*arrival_step=*/100000).id();
+  engine.RunUntilIdle();
   const Graph g = Graph::FromEdges(edges);
   EXPECT_EQ(engine.FinalValues(late), ReferenceWcc(g));
 }
@@ -201,12 +202,12 @@ TEST(RuntimeArrivalTest, ManyStaggeredArrivals) {
   const VertexId source = PickSourceVertex(edges);
 
   LtpEngine engine(&pg, SmallCacheOptions());
-  engine.AddJob(MakeProgram("pagerank", source));
+  engine.Submit(MakeProgram("pagerank", source));
   std::vector<JobId> arrivals;
   for (uint64_t step : {5u, 10u, 20u, 40u}) {
-    arrivals.push_back(engine.ScheduleJob(MakeProgram("bfs", source), step));
+    arrivals.push_back(engine.SubmitAt(MakeProgram("bfs", source), step).id());
   }
-  engine.Run();
+  engine.RunUntilIdle();
   const auto expected = ReferenceBfs(g, source);
   for (const JobId id : arrivals) {
     const auto actual = engine.FinalValues(id);
@@ -225,14 +226,14 @@ TEST(HashPartitioningTest, EndToEndCorrectness) {
   const Graph g = Graph::FromEdges(edges);
   PartitionOptions popts;
   popts.num_partitions = 6;
-  popts.assignment = EdgeAssignment::kHashBySource;
+  popts.partitioner = PartitionerKind::kHashSource;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   EXPECT_EQ(pg.num_edges(), edges.num_edges());
 
   LtpEngine engine(&pg, SmallCacheOptions());
-  const JobId id = engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<WccProgram>()).id();
+  engine.RunUntilIdle();
   EXPECT_EQ(engine.FinalValues(id), ReferenceWcc(g));
 }
 
@@ -240,7 +241,7 @@ TEST(HashPartitioningTest, OutEdgesOfAVertexStayTogether) {
   const EdgeList edges = GenerateErdosRenyi(200, 1600, 67);
   PartitionOptions popts;
   popts.num_partitions = 8;
-  popts.assignment = EdgeAssignment::kHashBySource;
+  popts.partitioner = PartitionerKind::kHashSource;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   // Every vertex's out-edges live in exactly one partition.
@@ -269,9 +270,10 @@ TEST(CacheEconomicsTest, SharingGrowsWithJobCount) {
   auto cgraph_bytes_per_job = [&](size_t jobs) {
     LtpEngine engine(&pg, SmallCacheOptions());
     for (size_t i = 0; i < jobs; ++i) {
-      engine.AddJob(MakeProgram("pagerank", 0));
+      engine.Submit(MakeProgram("pagerank", 0));
     }
-    const RunReport report = engine.Run();
+    engine.RunUntilIdle();
+    const RunReport report = engine.Report();
     return static_cast<double>(report.cache.miss_bytes) / jobs;
   };
   const double one = cgraph_bytes_per_job(1);
@@ -290,9 +292,10 @@ TEST(CacheEconomicsTest, CgraphMissRateDropsWithJobs) {
   auto miss_rate = [&](size_t jobs) {
     LtpEngine engine(&pg, SmallCacheOptions());
     for (size_t i = 0; i < jobs; ++i) {
-      engine.AddJob(MakeProgram("pagerank", 0));
+      engine.Submit(MakeProgram("pagerank", 0));
     }
-    return engine.Run().cache.miss_rate();
+    engine.RunUntilIdle();
+    return engine.Report().cache.miss_rate();
   };
   EXPECT_LT(miss_rate(8), miss_rate(1));
 }

@@ -1,6 +1,6 @@
 // The job-service runtime: online submission while the engine runs, admission beyond
-// max_jobs queuing instead of crashing, deterministic arrival interleavings matching the
-// legacy ScheduleJob path, and the Submit/Step/RunUntilIdle/Wait lifecycle.
+// max_jobs queuing instead of crashing, deterministic SubmitAt arrival interleavings
+// matching a mid-drive Submit, and the Submit/Step/RunUntilIdle/Wait lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -101,19 +101,21 @@ TEST(JobManagerTest, QueuedJobsAdmittedInSubmissionOrder) {
   EXPECT_TRUE(engine.job(2).finished());
 }
 
-TEST(JobManagerTest, OnlineSubmissionMatchesLegacyScheduleJob) {
+TEST(JobManagerTest, SubmitAtMatchesMidDriveSubmit) {
   const EdgeList edges = GenerateErdosRenyi(300, 2400, 17);
   const VertexId source = PickSourceVertex(edges);
   const PartitionedGraph pg = Partition(edges, 6);
   constexpr uint64_t kArrival = 12;
 
-  // Legacy path: the arrival is registered up front and injected by the run loop.
-  LtpEngine legacy(&pg, test_support::TestEngineOptions());
-  legacy.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-  const JobId legacy_late = legacy.ScheduleJob(std::make_unique<BfsProgram>(source), kArrival);
-  const RunReport legacy_report = legacy.Run();
+  // SubmitAt path: the arrival is registered up front and injected by the step loop.
+  LtpEngine scheduled(&pg, test_support::TestEngineOptions());
+  scheduled.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
+  const JobId scheduled_late =
+      scheduled.SubmitAt(std::make_unique<BfsProgram>(source), kArrival).id();
+  scheduled.RunUntilIdle();
+  const RunReport scheduled_report = scheduled.Report();
 
-  // Service path: the same arrival submitted online, mid-drive, at the same step.
+  // Submit path: the same arrival submitted online, mid-drive, at the same step.
   LtpEngine online(&pg, test_support::TestEngineOptions());
   online.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
   while (online.current_step() < kArrival) {
@@ -125,19 +127,19 @@ TEST(JobManagerTest, OnlineSubmissionMatchesLegacyScheduleJob) {
 
   // The interleavings must be identical: same iteration counts, same work, same charge
   // attribution, same cache behavior.
-  ASSERT_EQ(legacy_report.jobs.size(), online_report.jobs.size());
-  for (size_t j = 0; j < legacy_report.jobs.size(); ++j) {
-    EXPECT_EQ(legacy_report.jobs[j].iterations, online_report.jobs[j].iterations) << j;
-    EXPECT_EQ(legacy_report.jobs[j].compute_units, online_report.jobs[j].compute_units) << j;
-    EXPECT_EQ(legacy_report.jobs[j].push_updates, online_report.jobs[j].push_updates) << j;
-    EXPECT_EQ(legacy_report.jobs[j].charge.total_bytes(),
+  ASSERT_EQ(scheduled_report.jobs.size(), online_report.jobs.size());
+  for (size_t j = 0; j < scheduled_report.jobs.size(); ++j) {
+    EXPECT_EQ(scheduled_report.jobs[j].iterations, online_report.jobs[j].iterations) << j;
+    EXPECT_EQ(scheduled_report.jobs[j].compute_units, online_report.jobs[j].compute_units) << j;
+    EXPECT_EQ(scheduled_report.jobs[j].push_updates, online_report.jobs[j].push_updates) << j;
+    EXPECT_EQ(scheduled_report.jobs[j].charge.total_bytes(),
               online_report.jobs[j].charge.total_bytes())
         << j;
   }
-  EXPECT_EQ(legacy_report.cache.touches, online_report.cache.touches);
-  EXPECT_EQ(legacy_report.cache.misses, online_report.cache.misses);
-  EXPECT_EQ(legacy_report.memory.disk_bytes, online_report.memory.disk_bytes);
-  EXPECT_EQ(legacy.FinalValues(legacy_late), online.FinalValues(online_late.id()));
+  EXPECT_EQ(scheduled_report.cache.touches, online_report.cache.touches);
+  EXPECT_EQ(scheduled_report.cache.misses, online_report.cache.misses);
+  EXPECT_EQ(scheduled_report.memory.disk_bytes, online_report.memory.disk_bytes);
+  EXPECT_EQ(scheduled.FinalValues(scheduled_late), online.FinalValues(online_late.id()));
 }
 
 TEST(JobManagerTest, SubmitAfterIdleMatchesUpFrontRegistration) {
@@ -157,8 +159,8 @@ TEST(JobManagerTest, SubmitAfterIdleMatchesUpFrontRegistration) {
   EXPECT_TRUE(late.done());
 
   LtpEngine upfront(&pg, test_support::TestEngineOptions());
-  const JobId reference = upfront.AddJob(std::make_unique<WccProgram>());
-  upfront.Run();
+  const JobId reference = upfront.Submit(std::make_unique<WccProgram>()).id();
+  upfront.RunUntilIdle();
   EXPECT_EQ(engine.FinalValues(late.id()), upfront.FinalValues(reference));
   test_support::ExpectNearValues(engine.FinalValues(late.id()), ReferenceWcc(g), 0.0,
                                  "postidle/wcc");

@@ -53,9 +53,10 @@ RunReport RunCgraphOnStore(const SnapshotStore& store, size_t jobs,
   LtpEngine engine(&store, TightMemoryOptions(store, memory_factor));
   const auto names = BenchmarkJobNames(jobs);
   for (size_t i = 0; i < jobs; ++i) {
-    engine.AddJob(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
+    engine.Submit(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
   }
-  return engine.Run();
+  engine.RunUntilIdle();
+  return engine.Report();
 }
 
 RunReport RunBaselineOnStore(const SnapshotStore& store, BaselineSystem system, size_t jobs,
@@ -66,7 +67,7 @@ RunReport RunBaselineOnStore(const SnapshotStore& store, BaselineSystem system, 
   BaselineExecutor executor(&store, options);
   const auto names = BenchmarkJobNames(jobs);
   for (size_t i = 0; i < jobs; ++i) {
-    executor.AddJob(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
+    executor.Submit(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
   }
   return executor.Run();
 }
@@ -79,9 +80,10 @@ TEST(SnapshotExecutorTest, ZeroChangeRatioBehavesLikeOneSnapshot) {
   LtpEngine single(&*changed, SmallOptions());
   const auto names = BenchmarkJobNames(4);
   for (size_t i = 0; i < 4; ++i) {
-    single.AddJob(MakeProgram(names[i], 0), /*submit_time=*/0);
+    single.Submit(MakeProgram(names[i], 0), /*submit_time=*/0);
   }
-  const RunReport base = single.Run();
+  single.RunUntilIdle();
+  const RunReport base = single.Report();
   EXPECT_EQ(multi.cache.miss_bytes, base.cache.miss_bytes);
   EXPECT_EQ(multi.cache.touches, base.cache.touches);
 }
@@ -109,8 +111,8 @@ TEST(SnapshotExecutorTest, PlainSeraphDuplicatesUnchangedPartitions) {
   BaselineExecutor seraph_vt(&*store, options);
   const auto names = BenchmarkJobNames(4);
   for (size_t i = 0; i < 4; ++i) {
-    seraph.AddJob(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
-    seraph_vt.AddJob(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
+    seraph.Submit(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
+    seraph_vt.Submit(MakeProgram(names[i], 0), static_cast<Timestamp>(i) * 10);
   }
   const RunReport plain = seraph.Run();
   const RunReport vt = seraph_vt.Run();
@@ -131,7 +133,7 @@ TEST(SnapshotExecutorTest, SeraphAndSeraphVtModeledCsvsMatchGoldens) {
       BaselineExecutor executor(&*store, options);
       Timestamp submit_time = 0;
       for (const char* job : {"pagerank", "ppr", "scc", "kcore"}) {
-        executor.AddJob(MakeProgram(job, source), submit_time);
+        executor.Submit(MakeProgram(job, source), submit_time);
         submit_time += 10;
       }
       const std::string name = std::string("baseline_") + BaselineSystemName(system) +
@@ -191,10 +193,10 @@ TEST(SnapshotExecutorTest, RuntimeArrivalOnSnapshotBindsItsVersion) {
   store.CreateSnapshot(10, 1.0, 9);
 
   LtpEngine engine(&store, SmallOptions());
-  const JobId early = engine.AddJob(MakeProgram("wcc", 0), /*submit_time=*/0);
+  const JobId early = engine.Submit(MakeProgram("wcc", 0), /*submit_time=*/0).id();
   const JobId late =
-      engine.ScheduleJob(MakeProgram("wcc", 0), /*arrival_step=*/3, /*submit_time=*/10);
-  engine.Run();
+      engine.SubmitAt(MakeProgram("wcc", 0), /*arrival_step=*/3, /*submit_time=*/10).id();
+  engine.RunUntilIdle();
   // The early job sees the base graph: components {0,1} and {2,3} labeled by min id.
   const auto early_labels = engine.FinalValues(early);
   EXPECT_DOUBLE_EQ(early_labels[0], 0.0);

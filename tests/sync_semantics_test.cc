@@ -60,8 +60,9 @@ TEST_F(TwoPartitionPathTest, LayoutIsAsExpected) {
 
 TEST_F(TwoPartitionPathTest, SsspCrossesReplicaBoundary) {
   LtpEngine engine(&pg_, Opts());
-  const JobId id = engine.AddJob(std::make_unique<SsspProgram>(0));
-  const RunReport report = engine.Run();
+  const JobId id = engine.Submit(std::make_unique<SsspProgram>(0)).id();
+  engine.RunUntilIdle();
+  const RunReport report = engine.Report();
   const auto dist = engine.FinalValues(id);
   EXPECT_DOUBLE_EQ(dist[0], 0.0);
   EXPECT_DOUBLE_EQ(dist[1], 1.0);
@@ -77,8 +78,8 @@ TEST_F(TwoPartitionPathTest, SsspCrossesReplicaBoundary) {
 
 TEST_F(TwoPartitionPathTest, PageRankMassConserved) {
   LtpEngine engine(&pg_, Opts());
-  const JobId id = engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-12));
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-12)).id();
+  engine.RunUntilIdle();
   const auto rank = engine.FinalValues(id);
   // Closed form for the 3-vertex path with damping d and base (1-d):
   //   r0 = 0.15, r1 = 0.15 + d*r0, r2 = 0.15 + d*r1.
@@ -102,15 +103,15 @@ TEST(SyncMergeTest, ContributionsFromTwoPartitionsMerge) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   LtpEngine engine(&pg, Opts());
-  const JobId sssp = engine.AddJob(std::make_unique<SsspProgram>(0));
-  engine.Run();
+  const JobId sssp = engine.Submit(std::make_unique<SsspProgram>(0)).id();
+  engine.RunUntilIdle();
   const auto dist = engine.FinalValues(sssp);
   EXPECT_DOUBLE_EQ(dist[3], 2.0);  // min(1+1, 1+5): the Acc-min across partitions.
 
   // And for a sum accumulator both contributions must arrive.
   LtpEngine pr_engine(&pg, Opts());
-  const JobId pr = pr_engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-12));
-  pr_engine.Run();
+  const JobId pr = pr_engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-12)).id();
+  pr_engine.RunUntilIdle();
   const auto rank = pr_engine.FinalValues(pr);
   // Vertex 3 receives damped mass from both 1 and 2.
   EXPECT_NEAR(rank[3], 0.15 + 0.85 * rank[1] + 0.85 * rank[2], 1e-9);
@@ -131,8 +132,8 @@ TEST(SyncMergeTest, HubReplicaConsistencyAcrossManyPartitions) {
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   LtpEngine engine(&pg, Opts());
-  const JobId id = engine.AddJob(std::make_unique<WccProgram>());
-  engine.Run();
+  const JobId id = engine.Submit(std::make_unique<WccProgram>()).id();
+  engine.RunUntilIdle();
   const auto labels = engine.FinalValues(id);
   for (VertexId v = 0; v <= kLeaves; ++v) {
     EXPECT_DOUBLE_EQ(labels[v], 0.0) << v;  // One component, min id 0.
@@ -156,8 +157,8 @@ TEST(SyncMergeTest, StructureIsImmutableAcrossRuns) {
   std::vector<double> first;
   for (int run = 0; run < 2; ++run) {
     LtpEngine engine(&pg, Opts());
-    const JobId id = engine.AddJob(std::make_unique<SsspProgram>(0));
-    engine.Run();
+    const JobId id = engine.Submit(std::make_unique<SsspProgram>(0)).id();
+    engine.RunUntilIdle();
     const auto dist = engine.FinalValues(id);
     if (run == 0) {
       first = dist;

@@ -322,9 +322,6 @@ std::vector<Flag> Flags(CliOptions* o) {
            "iteration model; async needs monotonic jobs (docs/execution_modes.md)"),
       Count("--staleness", &e.staleness, kCgraph,
             "async mirror-sync lag bound in iterations; 0 = bsp", 0, k16Bit),
-      Count("--defer-divisor", &e.async_defer_divisor, kCgraph,
-            "async deferral while fresh master records >= replicated/N; 0 = always", 0,
-            k16Bit),
       {"--inject-fault", "KIND@STEP[:JOB],...", kCgraph,
        "one-shot faults, KIND = load|trigger|push|corrupt|cancel (docs/robustness.md)",
        "KIND@STEP[:JOB],... with KIND one of load, trigger, push, corrupt, cancel", "",
@@ -668,8 +665,6 @@ bool BuildTrace(const CliOptions& options, const EdgeList& edges,
 // Batch mode on a cgraph system: submit the jobs and arrivals, run to idle, and restart
 // every faulted job that left a checkpoint.
 void RunBatch(const CliOptions& options, VertexId source, LtpEngine* engine) {
-  // Service API, not the legacy AddJob: up-front jobs beyond --max-jobs queue for
-  // admission instead of tripping the batch wrapper's capacity CHECK.
   for (const auto& name : options.jobs) {
     engine->Submit(MakeProgram(name, source));
   }
@@ -783,7 +778,7 @@ int main(int argc, char** argv) {
     ParseBaselineSystem(options.system, &bopts.system);
     BaselineExecutor executor(&graph, bopts);
     for (const auto& name : options.jobs) {
-      executor.AddJob(MakeProgram(name, source));
+      executor.Submit(MakeProgram(name, source));
     }
     report = executor.Run();
   }
