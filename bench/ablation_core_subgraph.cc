@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   auto run_with = [&](const char* label, bool core, double multiplier) {
     PartitionOptions popts;
     popts.num_partitions = parts;
+    popts.partitioner = PartitionerKind::kEvenEdge;
     popts.core_subgraph = core;
     popts.core_degree_multiplier = multiplier;
     const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, popts);

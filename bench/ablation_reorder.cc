@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   auto run_with = [&](const char* label, const EdgeList& edges) {
     PartitionOptions popts;
     popts.num_partitions = parts;
+    popts.partitioner = PartitionerKind::kEvenEdge;
     const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, popts);
     const VertexId source = PickSourceVertex(edges);
     LtpEngine engine(&graph, env.Engine());

@@ -123,12 +123,15 @@ inline PreparedDataset Prepare(const DatasetSpec& spec, const BenchEnv& env) {
   ds.spec = spec;
   ds.edges = GenerateDataset(spec);
   const uint32_t parts = PartitionCountFor(ds.edges, env);
+  // The paper's Figure-4 layout, pinned so the figures keep their meaning.
   PartitionOptions core_opts;
   core_opts.num_partitions = parts;
+  core_opts.partitioner = PartitionerKind::kEvenEdge;
   core_opts.core_subgraph = true;
   ds.graph = PartitionedGraphBuilder::Build(ds.edges, core_opts);
   PartitionOptions flat_opts;
   flat_opts.num_partitions = parts;
+  flat_opts.partitioner = PartitionerKind::kEvenEdge;
   flat_opts.core_subgraph = false;
   ds.graph_flat = PartitionedGraphBuilder::Build(ds.edges, flat_opts);
   ds.source = PickSourceVertex(ds.edges);
@@ -193,6 +196,7 @@ inline EvolvingSetup PrepareEvolving(const DatasetSpec& spec, const BenchEnv& en
   setup.source = PickSourceVertex(edges);
   PartitionOptions popts;
   popts.num_partitions = PartitionCountFor(edges, env);
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = true;
   setup.store =
       std::make_unique<SnapshotStore>(PartitionedGraphBuilder::Build(edges, popts));

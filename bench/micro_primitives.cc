@@ -57,6 +57,7 @@ void BM_PartitionBuild(benchmark::State& state) {
   const EdgeList edges = GenerateRmat(rmat);
   PartitionOptions popts;
   popts.num_partitions = 16;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   for (auto _ : state) {
     const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
     benchmark::DoNotOptimize(pg.num_partitions());
@@ -75,6 +76,7 @@ void BM_SinglePageRankIterationish(benchmark::State& state) {
   const EdgeList edges = GenerateRmat(rmat);
   PartitionOptions popts;
   popts.num_partitions = 8;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   EngineOptions options;
   options.num_workers = static_cast<uint32_t>(state.range(0));

@@ -585,6 +585,10 @@ void JobManager::FinalizeJob(Job& job) {
     checkpoints_->Drop(job.id_);
   }
   table_->UnregisterEverywhere(job.slot_);
+  // Release the push buckets' reserved capacity: a finished job never pushes again, and
+  // InitJob / RestoreJob re-reserve them if the job is re-admitted.
+  std::vector<std::vector<BucketRecord>>().swap(job.sync_in_);
+  std::vector<std::vector<BucketRecord>>().swap(job.broadcast_);
   job.remaining_ = 0;
   job.stats_.wall_seconds = elapsed_seconds_;
   job.stats_.finish_step = current_step_;

@@ -21,8 +21,9 @@ class PartitionedGraph;
 // cut, and imbalance the layout carries. See docs/partitioning.md for definitions.
 enum class PartitionerKind : uint8_t {
   // The paper's Figure-4 scheme: sort edges (core-subgraph edges first when enabled,
-  // then by source) and cut into equal-edge chunks. Balanced by construction; the
-  // default, and byte-identical to the pre-partitioner-layer engine.
+  // then by source) and cut into equal-edge chunks. Balanced by construction, and
+  // byte-identical to the pre-partitioner-layer engine; the paper-reproduction benches
+  // and the golden tests pin it.
   kEvenEdge,
   // Hash of the source vertex: keeps each vertex's out-edges together but inherits the
   // power-law imbalance; the partitioning ablation's comparison point.
@@ -30,7 +31,8 @@ enum class PartitionerKind : uint8_t {
   // Streaming greedy edge placement: each edge (in deterministic stream order) scores
   // candidate partitions by how many of its endpoints are already resident there,
   // breaking ties toward the lighter partition — replication-minimizing, bounded by a
-  // per-partition edge capacity (PartitionOptions::greedy_balance).
+  // per-partition edge capacity (PartitionOptions::greedy_balance). The default: it has
+  // the lowest replication factor, which the push and replica-compute layers scale with.
   kGreedy,
   // Degree-aware placement: every edge follows its lower-total-degree endpoint (hashed),
   // so low-degree vertices keep all their edges local (they never replicate) while only

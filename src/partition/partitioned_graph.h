@@ -1,10 +1,12 @@
 // Vertex-cut partitioned graph with master/mirror replicas.
 //
-// This realizes the storage layout of paper Figure 4: edges are evenly divided into
-// same-sized partitions; a vertex appearing in several partitions has one *master* replica
-// and mirrors elsewhere; each partition's item records the vertex id, its local edge list,
-// the master flag, the master location, and per-edge information. Communication happens
-// only when replicas synchronize (the Push stage), never while a partition is processed.
+// This realizes the storage layout of paper Figure 4: every edge lives in one partition
+// (same-sized partitions under the paper's kEvenEdge strategy; the default kGreedy
+// strategy places edges to cut replication, docs/partitioning.md); a vertex appearing in
+// several partitions has one *master* replica and mirrors elsewhere; each partition's
+// item records the vertex id, its local edge list, the master flag, the master location,
+// and per-edge information. Communication happens only when replicas synchronize (the
+// Push stage), never while a partition is processed.
 
 #ifndef SRC_PARTITION_PARTITIONED_GRAPH_H_
 #define SRC_PARTITION_PARTITIONED_GRAPH_H_
@@ -132,8 +134,9 @@ class GraphPartition {
 struct PartitionOptions {
   // Number of partitions (same-sized by edge count under kEvenEdge).
   uint32_t num_partitions = 8;
-  // Edge-placement strategy (CLI: --partitioner).
-  PartitionerKind partitioner = PartitionerKind::kEvenEdge;
+  // Edge-placement strategy (CLI: --partitioner). Greedy replicates least of the four
+  // (docs/partitioning.md); set kEvenEdge for the paper's Figure-4 equal-edge layout.
+  PartitionerKind partitioner = PartitionerKind::kGreedy;
   // Core-subgraph partitioning (paper section 3.3): group edges between high-degree "core"
   // vertices into dedicated partitions so reloading hubs does not drag early-converged
   // low-degree vertices along. Only meaningful under the even_edge strategy.

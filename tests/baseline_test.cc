@@ -43,6 +43,7 @@ TEST_P(BaselineSystemTest, FourJobMixMatchesReferences) {
   const VertexId source = PickSourceVertex(edges);
   PartitionOptions popts;
   popts.num_partitions = 8;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   BaselineExecutor executor(&pg, MakeOptions(GetParam()));
@@ -68,6 +69,7 @@ TEST_P(BaselineSystemTest, WccAndKcoreMatchReferences) {
   const Graph g = Graph::FromEdges(edges);
   PartitionOptions popts;
   popts.num_partitions = 6;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
   BaselineExecutor executor(&pg, MakeOptions(GetParam()));
@@ -89,6 +91,7 @@ TEST_P(BaselineSystemTest, ModeledCsvMatchesGolden) {
   const VertexId source = PickSourceVertex(edges);
   PartitionOptions popts;
   popts.num_partitions = 8;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   for (const uint32_t workers : {1u, 4u}) {
     BaselineOptions options = MakeOptions(GetParam());
@@ -152,6 +155,7 @@ class BaselinePolicyTest : public ::testing::Test {
     edges_ = test_support::FixedRmat(10, 8, 9);
     PartitionOptions popts;
     popts.num_partitions = 16;
+    popts.partitioner = PartitionerKind::kEvenEdge;
     pg_ = PartitionedGraphBuilder::Build(edges_, popts);
   }
 
@@ -180,6 +184,7 @@ TEST_F(BaselinePolicyTest, ClipReentryReducesIterations) {
   const EdgeList path = GeneratePath(1000);
   PartitionOptions popts;
   popts.num_partitions = 4;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = false;
   const PartitionedGraph path_pg = PartitionedGraphBuilder::Build(path, popts);
 

@@ -231,6 +231,27 @@ TEST(JobManagerTest, WaitOnCompletedJobSurvivesSlotRecycling) {
   EXPECT_EQ(engine.current_step(), final_step);
 }
 
+// Push buckets are reserved at admission and released at completion, so a long-lived
+// engine does not keep every finished job's bucket capacity.
+TEST(JobManagerTest, FinishedJobHoldsNoPushBucketCapacity) {
+  const EdgeList edges = GenerateErdosRenyi(200, 1500, 41);
+  const PartitionedGraph pg = Partition(edges, 6);
+  ASSERT_GT(pg.quality().mirror_count, 0u);
+
+  LtpEngine engine(&pg, test_support::TestEngineOptions());
+  const LtpEngine::JobHandle wcc = engine.Submit(std::make_unique<WccProgram>());
+  const LtpEngine::JobHandle pr =
+      engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
+  ASSERT_TRUE(engine.Step());
+  EXPECT_GT(engine.job(wcc.id()).push_bucket_capacity(), 0u);
+  wcc.Wait();
+  EXPECT_EQ(engine.job(wcc.id()).push_bucket_capacity(), 0u);
+  EXPECT_FALSE(pr.done());
+  EXPECT_GT(engine.job(pr.id()).push_bucket_capacity(), 0u);
+  engine.RunUntilIdle();
+  EXPECT_EQ(engine.job(pr.id()).push_bucket_capacity(), 0u);
+}
+
 TEST(JobManagerTest, ScheduledArrivalBeyondConvergenceStillRuns) {
   const EdgeList edges = GenerateRing(64);
   const Graph g = Graph::FromEdges(edges);

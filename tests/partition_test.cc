@@ -14,9 +14,12 @@
 namespace cgraph {
 namespace {
 
+// The layout-shape tests below (equal-edge chunks, core edges first) describe the
+// paper's Figure-4 layout, so they pin the even_edge strategy.
 PartitionOptions Opts(uint32_t parts, bool core = false) {
   PartitionOptions o;
   o.num_partitions = parts;
+  o.partitioner = PartitionerKind::kEvenEdge;
   o.core_subgraph = core;
   return o;
 }

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/algorithms/factory.h"
@@ -17,6 +20,7 @@
 #include "src/algorithms/sssp.h"
 #include "src/algorithms/wcc.h"
 #include "src/core/ltp_engine.h"
+#include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/metrics/csv_writer.h"
 #include "src/partition/partition_debug.h"
@@ -118,6 +122,109 @@ TEST(PartitionerInvariantsTest, GreedyRespectsCapacityBound) {
   ASSERT_GT(capacity, 0u);
   for (const GraphPartition& part : pg.partitions()) {
     EXPECT_LE(part.num_local_edges(), capacity) << "partition " << part.id();
+  }
+}
+
+// Reference greedy placement: every edge scores every partition bit by bit — the scan
+// the word-parallel build replaced. Same stream order, capacity, and tie-break (score,
+// then lighter partition, then lower id), grouped into a plan by a stable counting sort.
+EdgePartitioning ReferenceGreedyScan(const EdgeList& edges, uint32_t num_parts,
+                                     const PartitionOptions& options) {
+  const uint64_t m = edges.num_edges();
+  const auto& es = edges.edges();
+  std::vector<uint32_t> stream(m);
+  std::iota(stream.begin(), stream.end(), 0u);
+  std::stable_sort(stream.begin(), stream.end(), [&](uint32_t a, uint32_t b) {
+    return std::tie(es[a].src, es[a].dst) < std::tie(es[b].src, es[b].dst);
+  });
+  const uint64_t capacity = MakePartitioner(PartitionerKind::kGreedy)
+                                ->EdgeCapacity(m, num_parts, options);
+  const uint32_t words = (num_parts + 63) / 64;
+  std::vector<uint64_t> resident(static_cast<uint64_t>(edges.num_vertices()) * words, 0);
+  std::vector<uint64_t> occupied(num_parts, 0);
+  std::vector<PartitionId> assignment(m, 0);
+  auto resident_in = [&](VertexId v, uint32_t p) -> uint32_t {
+    return (resident[static_cast<uint64_t>(v) * words + p / 64] >> (p % 64)) & 1u;
+  };
+  auto mark_resident = [&](VertexId v, uint32_t p) {
+    resident[static_cast<uint64_t>(v) * words + p / 64] |= uint64_t{1} << (p % 64);
+  };
+  for (uint64_t i = 0; i < m; ++i) {
+    const Edge& e = es[stream[i]];
+    uint32_t best = num_parts;
+    uint32_t best_score = 0;
+    for (uint32_t p = 0; p < num_parts; ++p) {
+      if (occupied[p] >= capacity) {
+        continue;
+      }
+      const uint32_t score = resident_in(e.src, p) + resident_in(e.dst, p);
+      if (best == num_parts || score > best_score ||
+          (score == best_score && occupied[p] < occupied[best])) {
+        best = p;
+        best_score = score;
+      }
+    }
+    assignment[i] = best;
+    ++occupied[best];
+    mark_resident(e.src, best);
+    mark_resident(e.dst, best);
+  }
+  EdgePartitioning plan;
+  plan.boundaries.assign(num_parts + 1, 0);
+  for (const PartitionId p : assignment) {
+    ++plan.boundaries[p + 1];
+  }
+  for (uint32_t p = 0; p < num_parts; ++p) {
+    plan.boundaries[p + 1] += plan.boundaries[p];
+  }
+  plan.edge_order.resize(m);
+  std::vector<uint64_t> cursor(plan.boundaries.begin(), plan.boundaries.end() - 1);
+  for (uint64_t i = 0; i < m; ++i) {
+    plan.edge_order[cursor[assignment[i]]++] = stream[i];
+  }
+  return plan;
+}
+
+// The word-parallel greedy build must place every edge exactly where the per-partition
+// scan does. Partition counts cover one word, exactly one and two full words, and
+// partial tail words; balance 1.0 makes partitions fill up, so the full mask decides
+// picks; the graphs add hub, self-loop, and isolated-vertex shapes to R-MAT.
+TEST(PartitionerInvariantsTest, GreedyMatchesPerPartitionScan) {
+  std::vector<GraphCase> cases;
+  cases.push_back({"rmat", FixedRmat(9, 8, 21)});
+  cases.push_back({"star", GenerateStar(300)});
+  EdgeList loops;
+  for (VertexId v = 0; v < 200; ++v) {
+    loops.Add(v, v);
+    loops.Add(v, (v * 7 + 3) % 200);
+    if (v % 5 == 0) {
+      loops.Add(v, v);  // Duplicate self-loop.
+    }
+  }
+  cases.push_back({"self_loops", std::move(loops)});
+  EdgeList sparse;
+  for (VertexId v = 0; v < 400; v += 2) {
+    sparse.Add(v, (v * 13 + 6) % 400 & ~VertexId{1});  // Odd ids stay isolated.
+    sparse.Add(v, 0);
+  }
+  sparse.set_num_vertices(1000);  // Trailing isolated vertices too.
+  cases.push_back({"isolated", std::move(sparse)});
+
+  const std::unique_ptr<Partitioner> greedy = MakePartitioner(PartitionerKind::kGreedy);
+  for (const GraphCase& c : cases) {
+    ASSERT_GE(c.edges.num_edges(), 130u) << c.name;  // No partition count gets clamped.
+    for (const uint32_t parts : {1u, 2u, 63u, 64u, 65u, 128u, 130u}) {
+      for (const double balance : {1.0, 1.05, 2.0}) {
+        PartitionOptions options = OptionsFor(PartitionerKind::kGreedy, parts);
+        options.greedy_balance = balance;
+        const EdgePartitioning want = ReferenceGreedyScan(c.edges, parts, options);
+        const EdgePartitioning got = greedy->Partition(c.edges, parts, options);
+        const std::string what =
+            c.name + "/p" + std::to_string(parts) + "/b" + std::to_string(balance);
+        EXPECT_EQ(got.edge_order, want.edge_order) << what;
+        EXPECT_EQ(got.boundaries, want.boundaries) << what;
+      }
+    }
   }
 }
 
@@ -258,13 +365,14 @@ std::string StripWallColumn(const std::string& csv) {
 
 // Reproduces the exact pre-PR CLI workload (--rmat=10,8,3 --jobs=pagerank,sssp,wcc,
 // kcore --partitions=8) whose modeled CSV was captured before the partitioner layer
-// existed. The default even_edge strategy must reproduce it byte-for-byte — the
-// contract that keeps the whole bench trajectory comparable across this refactor.
+// existed. The even_edge strategy must reproduce it byte-for-byte — the contract that
+// keeps the whole bench trajectory comparable across layout changes.
 TEST(EvenEdgeByteIdentityTest, ModeledCsvMatchesPrePartitionerGolden) {
   const EdgeList edges = FixedRmat(10, 8, 3);
   const VertexId source = PickSourceVertex(edges);
   PartitionOptions popts;
   popts.num_partitions = 8;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   for (const uint32_t workers : {1u, 4u}) {
     EngineOptions options;  // CLI defaults, not the cache-starved test options.

@@ -30,6 +30,7 @@ std::unique_ptr<SnapshotStore> MakeStore(double change_ratio, size_t snapshots) 
   const EdgeList edges = BaseEdges();
   PartitionOptions popts;
   popts.num_partitions = 10;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   auto store =
       std::make_unique<SnapshotStore>(PartitionedGraphBuilder::Build(edges, popts));
   for (size_t i = 1; i <= snapshots; ++i) {
@@ -188,6 +189,7 @@ TEST(SnapshotExecutorTest, RuntimeArrivalOnSnapshotBindsItsVersion) {
   edges.Add(3, 2);
   PartitionOptions popts;
   popts.num_partitions = 2;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = false;
   SnapshotStore store(PartitionedGraphBuilder::Build(edges, popts));
   store.CreateSnapshot(10, 1.0, 9);

@@ -32,6 +32,7 @@ class TwoPartitionPathTest : public ::testing::Test {
     edges.Add(1, 2, 1.0f);
     PartitionOptions popts;
     popts.num_partitions = 2;
+    popts.partitioner = PartitionerKind::kEvenEdge;
     popts.core_subgraph = false;
     pg_ = PartitionedGraphBuilder::Build(edges, popts);
   }
@@ -99,6 +100,7 @@ TEST(SyncMergeTest, ContributionsFromTwoPartitionsMerge) {
   edges.Add(2, 3, 5.0f);
   PartitionOptions popts;
   popts.num_partitions = 2;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
@@ -128,6 +130,7 @@ TEST(SyncMergeTest, HubReplicaConsistencyAcrossManyPartitions) {
   }
   PartitionOptions popts;
   popts.num_partitions = 8;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
 
@@ -153,6 +156,7 @@ TEST(SyncMergeTest, StructureIsImmutableAcrossRuns) {
   }();
   PartitionOptions popts;
   popts.num_partitions = 3;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   std::vector<double> first;
   for (int run = 0; run < 2; ++run) {
