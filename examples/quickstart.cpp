@@ -36,11 +36,10 @@ int main(int argc, char** argv) {
   }
   std::printf("graph: %u vertices, %zu edges\n", edges.num_vertices(), edges.num_edges());
 
-  // 2. Partition: vertex-cut into equal-edge partitions, with core-subgraph grouping so
-  //    hub-to-hub edges share partitions (paper section 3.3).
+  // 2. Partition: vertex-cut under the default greedy placement, which puts each edge
+  //    where its endpoints already live to keep replication low (docs/partitioning.md).
   PartitionOptions popts;
   popts.num_partitions = 16;
-  popts.core_subgraph = true;
   const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, popts);
   std::printf("partitioned into %u partitions, replication factor %.2f\n",
               graph.num_partitions(), graph.replication_factor());

@@ -66,18 +66,6 @@ class Job {
     return activity_trace_;
   }
 
-  // Records of push-bucket capacity the job holds (both directions). Reserved at
-  // admission and released when the job finishes.
-  size_t push_bucket_capacity() const {
-    size_t records = 0;
-    for (const auto* buckets : {&sync_in_, &broadcast_}) {
-      for (const std::vector<BucketRecord>& bucket : *buckets) {
-        records += bucket.capacity();
-      }
-    }
-    return records;
-  }
-
  private:
   friend class LtpEngine;
   friend class BaselineExecutor;
@@ -85,6 +73,7 @@ class Job {
   friend class LoadStage;
   friend class TriggerStage;
   friend class PushStage;
+  friend class JobTestPeer;  // Unit tests' read-only view of private state.
 
   JobId id_;
   std::unique_ptr<VertexProgram> program_;

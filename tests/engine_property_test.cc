@@ -24,21 +24,32 @@ const EdgeList& TestEdges() {
   return edges;
 }
 
-// (num_partitions, num_workers, core_subgraph)
-using Config = std::tuple<uint32_t, uint32_t, bool>;
+// The layouts the grid covers: the paper's even_edge chunking with and without the
+// core/non-core split, and the default greedy vertex-cut (which has no core split).
+enum class Layout { kEvenEdgeCore, kEvenEdgeFlat, kGreedy };
+
+PartitionOptions LayoutOptions(uint32_t partitions, Layout layout) {
+  PartitionOptions popts;
+  popts.num_partitions = partitions;
+  popts.partitioner =
+      layout == Layout::kGreedy ? PartitionerKind::kGreedy : PartitionerKind::kEvenEdge;
+  popts.core_subgraph = layout == Layout::kEvenEdgeCore;
+  return popts;
+}
+
+// (num_partitions, num_workers, layout)
+using Config = std::tuple<uint32_t, uint32_t, Layout>;
 
 class ConfigInvarianceTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(ConfigInvarianceTest, TraversalResultsExact) {
-  const auto [partitions, workers, core] = GetParam();
+  const auto [partitions, workers, layout] = GetParam();
   const EdgeList& edges = TestEdges();
   const Graph g = Graph::FromEdges(edges);
   const VertexId source = PickSourceVertex(edges);
 
-  PartitionOptions popts;
-  popts.num_partitions = partitions;
-  popts.core_subgraph = core;
-  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  const PartitionedGraph pg =
+      PartitionedGraphBuilder::Build(edges, LayoutOptions(partitions, layout));
 
   EngineOptions options;
   options.num_workers = workers;
@@ -62,7 +73,8 @@ TEST_P(ConfigInvarianceTest, TraversalResultsExact) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ConfigInvarianceTest,
     ::testing::Combine(::testing::Values(1u, 2u, 5u, 16u), ::testing::Values(1u, 3u, 8u),
-                       ::testing::Bool()),
+                       ::testing::Values(Layout::kEvenEdgeCore, Layout::kEvenEdgeFlat,
+                                         Layout::kGreedy)),
     [](const ::testing::TestParamInfo<Config>& param_info) {
       // Built via append: the const char* + std::string&& operator chain trips a GCC 12
       // -Werror=restrict false positive at -O3.
@@ -70,7 +82,17 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(std::get<0>(param_info.param));
       name += "_w";
       name += std::to_string(std::get<1>(param_info.param));
-      name += std::get<2>(param_info.param) ? "_core" : "_flat";
+      switch (std::get<2>(param_info.param)) {
+        case Layout::kEvenEdgeCore:
+          name += "_core";
+          break;
+        case Layout::kEvenEdgeFlat:
+          name += "_flat";
+          break;
+        case Layout::kGreedy:
+          name += "_greedy";
+          break;
+      }
       return name;
     });
 
@@ -97,11 +119,11 @@ TEST(PolicyInvarianceTest, PartitionerDoesNotChangeResults) {
   const EdgeList& edges = TestEdges();
   const Graph g = Graph::FromEdges(edges);
   const VertexId source = PickSourceVertex(edges);
-  for (const auto partitioner : {PartitionerKind::kEvenEdge, PartitionerKind::kHashSource}) {
+  for (const auto partitioner : {PartitionerKind::kEvenEdge, PartitionerKind::kHashSource,
+                                  PartitionerKind::kGreedy, PartitionerKind::kDegree}) {
     PartitionOptions popts;
     popts.num_partitions = 8;
     popts.partitioner = partitioner;
-    popts.core_subgraph = partitioner == PartitionerKind::kEvenEdge;
     const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
     EngineOptions options;
     options.num_workers = 4;

@@ -33,6 +33,7 @@ using test_support::StandardGraphCases;
 PartitionedGraph Partition(const EdgeList& edges, uint32_t parts = 6) {
   PartitionOptions options;
   options.num_partitions = parts;
+  options.partitioner = PartitionerKind::kEvenEdge;
   options.core_subgraph = true;
   return PartitionedGraphBuilder::Build(edges, options);
 }
@@ -299,6 +300,7 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   edges.Add(3, 2);
   PartitionOptions popts;
   popts.num_partitions = 2;
+  popts.partitioner = PartitionerKind::kEvenEdge;
   popts.core_subgraph = false;
   SnapshotStore store(PartitionedGraphBuilder::Build(edges, popts));
   // Rewiring at 100% change ratio alters edges within partitions; job at t=0 must still

@@ -33,6 +33,7 @@ using test_support::StandardGraphCases;
 PartitionedGraph Partition(const EdgeList& edges, uint32_t parts = 6) {
   PartitionOptions options;
   options.num_partitions = parts;
+  options.partitioner = PartitionerKind::kEvenEdge;
   options.core_subgraph = true;
   return PartitionedGraphBuilder::Build(edges, options);
 }

@@ -29,6 +29,7 @@ namespace {
 PartitionedGraph Partition(const EdgeList& edges, uint32_t parts = 8) {
   PartitionOptions options;
   options.num_partitions = parts;
+  options.partitioner = PartitionerKind::kEvenEdge;
   options.core_subgraph = true;
   return PartitionedGraphBuilder::Build(edges, options);
 }

@@ -227,7 +227,6 @@ TEST(HashPartitioningTest, EndToEndCorrectness) {
   PartitionOptions popts;
   popts.num_partitions = 6;
   popts.partitioner = PartitionerKind::kHashSource;
-  popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   EXPECT_EQ(pg.num_edges(), edges.num_edges());
 
@@ -242,7 +241,6 @@ TEST(HashPartitioningTest, OutEdgesOfAVertexStayTogether) {
   PartitionOptions popts;
   popts.num_partitions = 8;
   popts.partitioner = PartitionerKind::kHashSource;
-  popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   // Every vertex's out-edges live in exactly one partition.
   std::vector<int> out_partition(edges.num_vertices(), -1);

@@ -28,6 +28,7 @@ namespace {
 PartitionedGraph Partition(const EdgeList& edges, uint32_t parts) {
   PartitionOptions options;
   options.num_partitions = parts;
+  options.partitioner = PartitionerKind::kEvenEdge;
   options.core_subgraph = true;
   return PartitionedGraphBuilder::Build(edges, options);
 }

@@ -278,8 +278,8 @@ std::vector<Flag> Flags(CliOptions* o) {
        "a list of the job names --help lists", Join(o->jobs),
        [o](const char* value) { return ParseJobs(value, &o->jobs); }},
       {"--system", "NAME", kAny,
-       "cgraph, cgraph-without (no Eq. 1 priority), or a baseline: sequential, seraph, "
-       "seraph-vt, nxgraph, clip",
+       "cgraph, cgraph-without (no Eq. 1 priority; under even_edge also no core split), "
+       "or a baseline: sequential, seraph, seraph-vt, nxgraph, clip",
        "one of the system names --help lists", o->system,
        [o](const char* value) {
          BaselineSystem baseline;
@@ -750,6 +750,8 @@ int main(int argc, char** argv) {
   const VertexId source =
       options.source == kInvalidVertex ? PickSourceVertex(edges) : options.source;
 
+  // The core split exists only under even_edge; with any other layout cgraph-without
+  // differs from cgraph by the scheduler alone.
   options.partition.core_subgraph = options.system != "cgraph-without";
   const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, options.partition);
   const bool is_cgraph_system = IsCgraphSystem(options.system);
