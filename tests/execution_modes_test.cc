@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,6 +126,47 @@ INSTANTIATE_TEST_SUITE_P(AllGraphs, AsyncEquivalenceTest,
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return StandardGraphCases()[info.index].name;
                          });
+
+// Flush-on-drain, pinned. On this graph at staleness 8, wcc's frontier goes quiet while
+// its deferred window still holds records, so the flush delivers them before the job may
+// be declared converged. The modeled columns of the equivalence mix are pinned at both
+// worker counts, so any change to how deferred windows reach mirrors shows up here.
+TEST(AsyncFlushTest, FlushOnDrainModeledColumnsArePinned) {
+  struct Pinned {
+    const char* job;
+    uint64_t iterations;
+    uint64_t push_updates;
+    uint64_t hit_bytes;
+    uint64_t mem_bytes;
+    uint64_t disk_bytes;
+  };
+  const Pinned want[] = {
+      {"sssp", 10, 9802, 335172, 1761604, 101340},
+      {"wcc", 3, 5175, 218096, 532136, 100944},
+      {"kcore", 1, 0, 85228, 127056, 101296},
+  };
+  const GraphCase c = test_support::RandomCase(400, 3000, 55);
+  const PartitionedGraph pg = Partition(c.edges);
+  for (const uint32_t workers : {1u, 4u}) {
+    LtpEngine engine(&pg, AsyncOptions(workers, 8));
+    engine.Submit(std::make_unique<SsspProgram>(PickSourceVertex(c.edges)));
+    engine.Submit(std::make_unique<WccProgram>());
+    engine.Submit(std::make_unique<KCoreProgram>(3));
+    engine.RunUntilIdle();
+    const RunReport report = engine.Report();
+    ASSERT_EQ(report.jobs.size(), std::size(want));
+    for (size_t j = 0; j < report.jobs.size(); ++j) {
+      const JobStats& got = report.jobs[j];
+      const std::string what = got.job_name + "/w" + std::to_string(workers);
+      EXPECT_EQ(got.job_name, want[j].job) << what;
+      EXPECT_EQ(got.iterations, want[j].iterations) << what;
+      EXPECT_EQ(got.push_updates, want[j].push_updates) << what;
+      EXPECT_EQ(got.charge.hit_bytes, want[j].hit_bytes) << what;
+      EXPECT_EQ(got.charge.mem_bytes, want[j].mem_bytes) << what;
+      EXPECT_EQ(got.charge.disk_bytes, want[j].disk_bytes) << what;
+    }
+  }
+}
 
 class AsyncRmatTest : public ::testing::Test {
  protected:
