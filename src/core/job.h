@@ -17,10 +17,9 @@
 
 namespace cgraph {
 
-// A buffered mirror->master (or master->mirror) state-synchronization record — the
-// elements of the paper's S_new queue (Algorithm 1 line 6 / Algorithm 2). The destination
-// partition is implied by the bucket the record sits in, so only the local slot and the
-// delta travel.
+// A buffered mirror->master state-synchronization record — the elements of the paper's
+// S_new queue (Algorithm 1 line 6 / Algorithm 2). The destination partition is implied by
+// the bucket the record sits in, so only the master's local slot and the delta travel.
 struct BucketRecord {
   LocalVertexId local = 0;
   double delta = 0.0;
@@ -91,12 +90,12 @@ class Job {
   // feeds the scheduler's C(P) term.
   std::vector<double> change_fraction_;
   uint32_t remaining_ = 0;            // Active partitions still to process this iteration.
-  // Push path: one bucket per destination partition, reused across iterations with
-  // capacity pre-reserved at admission (counting-sort semantics — records land grouped by
-  // destination, so the merge/broadcast sweeps stay successive per private partition
-  // without any std::sort).
-  std::vector<std::vector<BucketRecord>> sync_in_;     // Mirror deltas -> their masters.
-  std::vector<std::vector<BucketRecord>> broadcast_;   // Merged masters -> their mirrors.
+  // Push path: mirror deltas bound for their masters, one bucket per master partition,
+  // reused across iterations with capacity pre-reserved at admission (counting-sort
+  // semantics — records land grouped by destination, so the merge sweep stays successive
+  // per private partition without any std::sort). The master->mirror send-back needs no
+  // buffer: it writes mirror slots directly.
+  std::vector<std::vector<BucketRecord>> sync_in_;
   uint64_t iteration_ = 0;
   bool finished_ = false;
   JobStats stats_;

@@ -252,31 +252,11 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
     return;
   }
   job.table_ = PrivateTable(g);
-  job.active_.resize(g.num_partitions());
-  job.active_count_.assign(g.num_partitions(), 0);
-  job.processed_.assign(g.num_partitions(), false);
-  job.dirty_.assign(g.num_partitions(), false);
+  ResetRunState(job);
   job.change_fraction_.assign(g.num_partitions(), 1.0);
-  // Sync buckets, pre-reserved to their tight per-iteration bounds so the push path never
-  // reallocates mid-run: partition p can receive at most one merge record per mirror of
-  // its masters and at most one broadcast record per mirror replica it hosts.
-  job.sync_in_.resize(g.num_partitions());
-  job.broadcast_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.sync_in_[p].clear();
-    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-    job.broadcast_[p].clear();
-    job.broadcast_[p].reserve(g.partition(p).mirror_locals().size());
-  }
 
   const VertexProgram& program = job.program();
   const double identity = AccIdentity(program.acc_kind());
-
-  // Effective execution mode, fixed for the job's lifetime: async only when the options
-  // ask for it, the staleness window is non-degenerate, and the program declared the
-  // monotonicity contract. Everything else runs the exact BSP path.
-  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
-               program.monotonic();
   job.stats_.async_execution = job.async_;
   job.since_sync_ = 0;
   if (job.async_) {
@@ -290,7 +270,6 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     const GraphPartition& part = g.partition(p);
     auto states = job.table_.partition(p);
-    job.active_[p].Resize(part.num_local_vertices());
     // This fill (and the initial activity sweep over it) is what InitiallyActiveFresh
     // mirrors for admission footprints — change them together.
     SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
@@ -334,27 +313,10 @@ void JobManager::RestoreJob(Job& job) {
   job.deferred_ = cp->deferred;
   job.deferred_pending_ = cp->deferred_pending;
   job.activity_trace_ = cp->activity_trace;
-  // Same effective-mode derivation as a fresh init; the snapshot's async state matches
-  // because the options and program are the job's own.
-  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
-               job.program().monotonic();
-
-  job.active_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.active_[p].Resize(g.partition(p).num_local_vertices());
-  }
-  job.active_count_.assign(g.num_partitions(), 0);
-  job.processed_.assign(g.num_partitions(), false);
-  job.dirty_.assign(g.num_partitions(), false);
+  // The snapshot's async state matches the re-derived mode because the options and
+  // program are the job's own.
+  ResetRunState(job);
   job.change_fraction_.assign(g.num_partitions(), 0.0);
-  job.sync_in_.resize(g.num_partitions());
-  job.broadcast_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.sync_in_[p].clear();
-    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-    job.broadcast_[p].clear();
-    job.broadcast_[p].reserve(g.partition(p).mirror_locals().size());
-  }
   // Masks, counts, fractions, and registrations are pure functions of the restored
   // states at an iteration boundary: the all-partition re-sweep reproduces them exactly
   // (inactive partitions land on fraction 0, which is also their pre-failure value —
@@ -366,6 +328,30 @@ void JobManager::RestoreJob(Job& job) {
     // already converged — finalize as a normal completion.
     FinalizeJob(job);
   }
+}
+
+void JobManager::ResetRunState(Job& job) {
+  const PartitionedGraph& g = layout_;
+  job.active_.resize(g.num_partitions());
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    job.active_[p].Resize(g.partition(p).num_local_vertices());
+  }
+  job.active_count_.assign(g.num_partitions(), 0);
+  job.processed_.assign(g.num_partitions(), false);
+  job.dirty_.assign(g.num_partitions(), false);
+  // Merge buckets, pre-reserved to their tight per-iteration bound so the push path never
+  // reallocates mid-run: partition p can receive at most one record per mirror of its
+  // masters.
+  job.sync_in_.resize(g.num_partitions());
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    job.sync_in_[p].clear();
+    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
+  }
+  // Effective execution mode, fixed for the job's lifetime: async only when the options
+  // ask for it, the staleness window is non-degenerate, and the program declared the
+  // monotonicity contract. Everything else runs the exact BSP path.
+  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
+               job.program().monotonic();
 }
 
 void JobManager::FailJob(Job& job, Status status) {
@@ -586,9 +572,8 @@ void JobManager::FinalizeJob(Job& job) {
   }
   table_->UnregisterEverywhere(job.slot_);
   // Release the push buckets' reserved capacity: a finished job never pushes again, and
-  // InitJob / RestoreJob re-reserve them if the job is re-admitted.
+  // ResetRunState re-reserves them if the job is re-admitted.
   std::vector<std::vector<BucketRecord>>().swap(job.sync_in_);
-  std::vector<std::vector<BucketRecord>>().swap(job.broadcast_);
   job.remaining_ = 0;
   job.stats_.wall_seconds = elapsed_seconds_;
   job.stats_.finish_step = current_step_;

@@ -204,6 +204,10 @@ class JobManager {
   // counts, and registrations by re-sweeping the restored states — at an iteration
   // boundary those are pure functions of the states, so the rebuild is exact.
   void RestoreJob(Job& job) CGRAPH_REQUIRES_DRIVER;
+  // The part of (re-)admission that InitJob and RestoreJob share: sizes the job's
+  // per-partition activity buffers and push buckets for this layout, and derives its
+  // effective execution mode (async_) from the options and the program's monotonic().
+  void ResetRunState(Job& job) CGRAPH_REQUIRES_DRIVER;
   // Completion bookkeeping without follow-on admission: final stats, registration
   // teardown, slot release — and, under history-consuming policies, folding the job's
   // activation trace into the footprint history (skipped for failed/cancelled jobs,

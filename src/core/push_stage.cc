@@ -39,6 +39,60 @@ void PushStage::CollectMirrorRecords(Job& job, PartitionId p) {
   }
 }
 
+// Writing straight into mirror slots is exact. A mirror has exactly one master, so each
+// slot has one writer. CollectMirrorRecords already moved the mirror's own contribution
+// into sync_in_ and cleared the slot. The sweep reads only master slots, so the order of
+// the writes cannot matter.
+uint64_t PushStage::Broadcast(Job& job) {
+  const AccKind kind = job.program().acc_kind();
+  const double identity = AccIdentity(kind);
+  // The sources are fixed before any write: a partition that only receives mirror values
+  // has no fresh master delta to send and is not swept.
+  const std::vector<bool> sources = job.dirty_;
+  uint64_t records = 0;
+  for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
+    const bool has_deferred = job.async_ && job.deferred_pending_[p] != 0;
+    if (!sources[p] && !has_deferred) {
+      continue;
+    }
+    const GraphPartition& part = layout_.partition(p);
+    auto states = job.table_.partition(p);
+    const std::span<const LocalVertexId> masters = part.replicated_masters();
+    for (size_t i = 0; i < masters.size(); ++i) {
+      double delta = states[masters[i]].delta_next;
+      if (has_deferred) {
+        delta = AccApply(kind, job.deferred_[p][i], delta);
+        job.deferred_[p][i] = identity;
+      }
+      if (delta == identity) {
+        continue;
+      }
+      // Replace, not Acc: the mirror's own contribution was already merged upstream.
+      const std::span<const ReplicaRef> mirrors = part.mirrors_of(masters[i]);
+      for (const ReplicaRef& ref : mirrors) {
+        job.table_.partition(ref.partition)[ref.local].delta_next = delta;
+        job.dirty_[ref.partition] = true;
+      }
+      records += mirrors.size();
+    }
+    if (has_deferred) {
+      job.deferred_pending_[p] = 0;
+    }
+  }
+  job.since_sync_ = 0;
+  return records;
+}
+
+void PushStage::ChargeDirtyPartitions(Job& job) {
+  for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
+    if (job.dirty_[p]) {
+      const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
+      job.stats_.charge +=
+          hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
+    }
+  }
+}
+
 void PushStage::Push(Job& job) {
   const PartitionedGraph& g = layout_;
   const AccKind kind = job.program().acc_kind();
@@ -48,8 +102,9 @@ void PushStage::Push(Job& job) {
   // deltas were collected directly into per-destination-partition buckets, so sweeping
   // buckets in partition order makes the updates successive per private partition — the
   // same access pattern the sort used to establish, hence the same charge model of one
-  // private-partition access per distinct destination partition (in the swap sweep below)
-  // rather than one per record.
+  // private-partition access per distinct destination partition (in phase 3 below)
+  // rather than one per record. The bucket order is also the Acc order of the merge,
+  // which sum programs' floating-point results depend on.
   uint64_t merged_records = 0;
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     std::vector<BucketRecord>& bucket = job.sync_in_[p];
@@ -66,11 +121,9 @@ void PushStage::Push(Job& job) {
   }
   job.stats_.push_updates += merged_records;
 
-  // Phase 2 (SortS + broadcast, same bucket scheme): merged master values are pushed back
-  // to mirrors so every replica agrees on next iteration's delta (and hence on activity
-  // and value updates). Only replicated masters can have mirrors to feed, so the source
-  // sweep walks the mirror index instead of every local vertex. Destinations are unique
-  // (a mirror has exactly one master), so per-bucket application order cannot matter.
+  // Phase 2 (Algorithm 2's send-back): merged master values go back to their mirrors so
+  // every replica agrees on next iteration's delta (and hence on activity and value
+  // updates). See Broadcast for why writing them straight into mirror slots is exact.
   //
   // Async (docs/execution_modes.md): mirror->master flow above runs every iteration —
   // masters are always fresh — but this master->mirror broadcast may lag by up to
@@ -80,7 +133,6 @@ void PushStage::Push(Job& job) {
   // record per mirror. Exact for monotonic programs: min-windows are idempotent, and a
   // sum-window delivers each contribution exactly once (mirror application replaces, and
   // the mirror's own prior contribution was already merged upstream).
-  uint64_t broadcast_records = 0;
   bool sync_boundary = !job.async_ || job.since_sync_ >= options_.staleness;
   if (!sync_boundary) {
     // Adaptive deferral: the staleness window is an upper bound, not a mandate. Count
@@ -104,33 +156,7 @@ void PushStage::Push(Job& job) {
     sync_boundary = fresh < total_replicated_;
   }
   if (sync_boundary) {
-    for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      const bool has_deferred = job.async_ && job.deferred_pending_[p] != 0;
-      if (!job.dirty_[p] && !has_deferred) {
-        continue;
-      }
-      const GraphPartition& part = g.partition(p);
-      auto states = job.table_.partition(p);
-      const std::span<const LocalVertexId> masters = part.replicated_masters();
-      for (size_t i = 0; i < masters.size(); ++i) {
-        const LocalVertexId v = masters[i];
-        double delta = states[v].delta_next;
-        if (has_deferred) {
-          delta = AccApply(kind, job.deferred_[p][i], delta);
-          job.deferred_[p][i] = identity;
-        }
-        if (delta == identity) {
-          continue;
-        }
-        for (const ReplicaRef& ref : part.mirrors_of(v)) {
-          job.broadcast_[ref.partition].push_back(BucketRecord{ref.local, delta});
-        }
-      }
-      if (has_deferred) {
-        job.deferred_pending_[p] = 0;
-      }
-    }
-    job.since_sync_ = 0;
+    job.stats_.push_updates += Broadcast(job);
   } else {
     // Deferred boundary: withhold the broadcast, Acc-folding each master's fresh delta
     // into the window accumulator *before* the phase-3 swap clears it. The master still
@@ -157,75 +183,24 @@ void PushStage::Push(Job& job) {
     job.stats_.deferred_pushes += deferred_now;
     ++job.since_sync_;
   }
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    std::vector<BucketRecord>& bucket = job.broadcast_[p];
-    if (bucket.empty()) {
-      continue;
-    }
-    auto states = job.table_.partition(p);
-    for (const BucketRecord& rec : bucket) {
-      states[rec.local].delta_next = rec.delta;  // Replace: mirror contribution was merged.
-    }
-    job.dirty_[p] = true;
-    broadcast_records += bucket.size();
-    bucket.clear();
-  }
-  job.stats_.push_updates += broadcast_records;
 
-  // Phase 3: swap the double buffer on dirty partitions, recompute activity, and charge
-  // the batched private-table accesses of the whole push.
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (job.dirty_[p]) {
-      const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
-      job.stats_.charge +=
-          hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
-    }
-  }
+  // Phase 3: charge the batched private-table accesses of the whole push, then swap the
+  // double buffer on dirty partitions and recompute activity.
+  ChargeDirtyPartitions(job);
   uint64_t active_total = manager_->RefreshActivity(job, /*all_partitions=*/false,
                                                     /*swap_buffers=*/true,
                                                     /*initial=*/false);
 
   // Flush-on-drain: an async job whose frontier went quiet may still owe mirrors a
   // deferred window — convergence is only real once every withheld record was delivered
-  // and the refreshed activity is still zero. One flush suffices: it empties every
-  // accumulator and nothing re-defers without Compute running.
+  // and the refreshed activity is still zero. The refresh left no partition dirty and
+  // every master delta at the identity, so the broadcast visits exactly the partitions
+  // with a pending window and sends exactly the window values. One flush suffices: it
+  // empties every accumulator and nothing re-defers without Compute running.
   if (job.async_ && active_total == 0 && job.since_sync_ > 0) {
-    uint64_t flushed_records = 0;
-    for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      if (job.deferred_pending_[p] == 0) {
-        continue;
-      }
-      const GraphPartition& part = g.partition(p);
-      const std::span<const LocalVertexId> masters = part.replicated_masters();
-      for (size_t i = 0; i < masters.size(); ++i) {
-        if (job.deferred_[p][i] == identity) {
-          continue;
-        }
-        for (const ReplicaRef& ref : part.mirrors_of(masters[i])) {
-          job.broadcast_[ref.partition].push_back(BucketRecord{ref.local, job.deferred_[p][i]});
-        }
-        job.deferred_[p][i] = identity;
-      }
-      job.deferred_pending_[p] = 0;
-    }
-    for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      std::vector<BucketRecord>& bucket = job.broadcast_[p];
-      if (bucket.empty()) {
-        continue;
-      }
-      auto states = job.table_.partition(p);
-      for (const BucketRecord& rec : bucket) {
-        states[rec.local].delta_next = rec.delta;  // Mirror slots are at the identity here.
-      }
-      job.dirty_[p] = true;
-      flushed_records += bucket.size();
-      bucket.clear();
-      const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
-      job.stats_.charge +=
-          hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
-    }
+    const uint64_t flushed_records = Broadcast(job);
     job.stats_.push_updates += flushed_records;
-    job.since_sync_ = 0;
+    ChargeDirtyPartitions(job);
     if (flushed_records > 0) {
       active_total = manager_->RefreshActivity(job, /*all_partitions=*/false,
                                                /*swap_buffers=*/true, /*initial=*/false);

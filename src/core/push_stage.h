@@ -3,11 +3,13 @@
 // When a job has handled all its active partitions, its buffered mirror deltas are merged
 // into masters, merged values are broadcast back to mirrors, the delta double-buffer is
 // swapped, and the next iteration's partitions are registered in the global table through
-// the JobManager (activation tracing). Algorithm 2's SortD/SortS passes are realized as
-// counting-sort buckets: records are collected straight into per-destination-partition
-// buckets (reused, pre-reserved on the Job), so sweeping buckets in partition order gives
-// the same successive-access pattern — and the same charge model — as the sorts, without
-// sorting. Collection walks each partition's mirror index (mirror_locals /
+// the JobManager (activation tracing). Algorithm 2's SortD pass is realized as
+// counting-sort buckets: mirror->master records are collected straight into
+// per-destination-partition buckets (reused, pre-reserved on the Job), so sweeping buckets
+// in partition order gives the same successive-access pattern — and the same charge model
+// — as the sort, without sorting. The SortS half needs no buckets: each master's merged
+// value is written straight into its mirrors' slots, and every destination slot has
+// exactly one writer. Both halves walk each partition's mirror index (mirror_locals /
 // replicated_masters) instead of filtering every local vertex. The iteration-boundary
 // protocol with the vertex program runs here too: convergence detection, the
 // max-iteration safety valve, and multi-phase re-initialization (SCC). Jobs that complete
@@ -47,6 +49,15 @@ class PushStage {
   void Push(Job& job) CGRAPH_REQUIRES_DRIVER;
 
  private:
+  // Master->mirror delivery: for every partition that is dirty or holds a pending
+  // deferred window, Acc-folds the window into each replicated master's delta and writes
+  // the result into all of that master's mirror slots, marking their partitions dirty.
+  // Resets the windows and the job's since-sync count; returns the records sent.
+  uint64_t Broadcast(Job& job) CGRAPH_REQUIRES_DRIVER;
+
+  // Charges one private-partition access per dirty partition, in ascending order.
+  void ChargeDirtyPartitions(Job& job) CGRAPH_REQUIRES_DRIVER;
+
   const PartitionedGraph& layout_;
   MemoryHierarchy* hierarchy_;
   JobManager* manager_;

@@ -23,13 +23,12 @@ namespace cgraph {
 
 class JobTestPeer {
  public:
-  // Records of push-bucket capacity the job holds, both directions.
+  // Records of push-bucket capacity the job holds: the mirror->master sync_in_ buckets,
+  // the only buffers of the push path.
   static size_t PushBucketCapacity(const Job& job) {
     size_t records = 0;
-    for (const auto* buckets : {&job.sync_in_, &job.broadcast_}) {
-      for (const std::vector<BucketRecord>& bucket : *buckets) {
-        records += bucket.capacity();
-      }
+    for (const std::vector<BucketRecord>& bucket : job.sync_in_) {
+      records += bucket.capacity();
     }
     return records;
   }
