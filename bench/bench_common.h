@@ -10,7 +10,7 @@
 // Flags (all optional):
 //   --scale-shift=N   uniform dataset scaling (default -2: sixteen times smaller than the
 //                     DESIGN.md reference scales; keeps the full suite under minutes)
-//   --workers=N       worker threads (default 4)
+//   --workers=N       worker lanes: the driver thread plus N-1 pool threads (default 4)
 //   --jobs=N          job-mix size where applicable (default 4)
 //   --datasets=N      limit to the first N datasets (default all 5)
 

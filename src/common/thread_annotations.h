@@ -5,7 +5,7 @@
 // impact). The macros let the compiler machine-check two locking disciplines that the
 // runtime otherwise enforces only by convention:
 //
-//   * real mutexes — ThreadPool's queue/batch state is CGRAPH_GUARDED_BY its mutex, so
+//   * real mutexes — ThreadPool's batch state is CGRAPH_GUARDED_BY its mutex, so
 //     any new access outside the lock is a compile error under clang, not a TSan race
 //     that a given run may or may not exercise;
 //   * the driver-thread role — everything outside ThreadPool (JobManager, the LTP

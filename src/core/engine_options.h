@@ -65,7 +65,8 @@ inline bool ParseExecutionModeName(const char* name, ExecutionMode* out) {
 }
 
 struct EngineOptions {
-  // Worker threads ("cores"); one trigger task per worker (paper section 3.2.3).
+  // Workers ("cores"); one trigger task per worker (paper section 3.2.3). The thread
+  // pool runs them as the driver thread plus num_workers - 1 threads.
   uint32_t num_workers = 4;
 
   // Simulated LLC / memory / disk parameters (identical across compared systems).
@@ -85,20 +86,6 @@ struct EngineOptions {
   // Straggler splitting: dynamic chunk stealing within a partition trigger (Fig. 6).
   // Disabled = one task per (job, partition).
   bool straggler_split = true;
-
-  // Per-vertex bookkeeping sweeps (job init, activity refresh) run through the thread
-  // pool's batch dispatch when a partition has at least this many local vertices;
-  // smaller partitions stay inline because dispatch would cost more than the sweep.
-  // 0 forces the parallel path (used by tests to cover it on small fixtures).
-  uint32_t parallel_sweep_threshold = 1u << 13;
-
-  // A trigger batch dispatches through the thread pool only when its jobs together hold
-  // at least this many active vertices in the picked partition; smaller batches run
-  // inline on the driver thread — waking workers for a handful of frontier words costs
-  // more than the sweep (the workers=4 < workers=1 regression on small partitions).
-  // 0 forces pooled dispatch (tests use it to cover the parallel path on small
-  // fixtures). Modeled metrics are identical either way; only wall time differs.
-  uint32_t parallel_trigger_threshold = 1u << 12;
 
   // Capacity of the global table's per-partition job set.
   uint32_t max_jobs = 64;

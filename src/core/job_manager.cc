@@ -8,37 +8,16 @@
 
 #include "src/cache/cache_sim.h"
 #include "src/common/check.h"
-#include "src/common/function_ref.h"
 
 namespace cgraph {
 
 namespace {
-
-// Chunk size for pool-dispatched bookkeeping sweeps. A multiple of 64 so concurrent
-// DynamicBitset::Set calls from different chunks always land in disjoint words.
-constexpr size_t kSweepGrain = 4096;
 
 // Footprint-history shape under the predict policy (src/core/footprint_history.h): each
 // completed job's partition trace folds onto 8 lifetime buckets, and prior history is
 // halved before each new completion folds in.
 constexpr uint32_t kHistoryBuckets = 8;
 constexpr double kHistoryDecay = 0.5;
-
-// Runs body(begin, end) over disjoint subranges covering [0, n): inline below
-// `threshold` (dispatch would cost more than the sweep), otherwise through the pool's
-// allocation-free batch primitive in word-aligned chunks.
-void SweepRange(ThreadPool* pool, uint32_t num_workers, uint32_t threshold, size_t n,
-                FunctionRef<void(size_t, size_t)> body) {
-  if (pool == nullptr || num_workers <= 1 || n < threshold) {
-    body(0, n);
-    return;
-  }
-  const size_t chunks = (n + kSweepGrain - 1) / kSweepGrain;
-  pool->RunBatch(chunks, [&](size_t chunk) {
-    const size_t begin = chunk * kSweepGrain;
-    body(begin, std::min(begin + kSweepGrain, n));
-  });
-}
 
 // The initially-active predicate over a vertex's *freshly initialized* state — exactly
 // the state InitJob's fill sweep writes (InitialState with delta_next at the Acc
@@ -67,6 +46,7 @@ JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
       policy_(MakeAdmissionPolicy(options, history_.get())) {
   CGRAPH_CHECK(table != nullptr);
   CGRAPH_CHECK(scheduler != nullptr);
+  CGRAPH_CHECK(pool != nullptr);
   // Zero slots would livelock the drive loop: a due waiter could never be admitted.
   CGRAPH_CHECK(options.max_jobs > 0);
   // Aging is the overlap/predict policies' starvation bound (a bounded overlap advantage
@@ -110,17 +90,16 @@ void JobManager::ComputeFootprint(Job& job) {
     // are an order-independent integer sum, so the parallel sweep is deterministic.
     const GraphPartition& part = g.partition(p);
     std::atomic<uint32_t> total{0};
-    SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-               part.num_local_vertices(), [&](size_t begin, size_t end) {
-                 uint32_t count = 0;
-                 for (size_t i = begin; i < end; ++i) {
-                   const LocalVertexId v = static_cast<LocalVertexId>(i);
-                   if (InitiallyActiveFresh(program, part.vertex(v), identity)) {
-                     ++count;
-                   }
-                 }
-                 total.fetch_add(count, std::memory_order_relaxed);
-               });
+    pool_->ForEachChunk(part.num_local_vertices(), kSweepGrain, [&](size_t begin, size_t end) {
+      uint32_t count = 0;
+      for (size_t i = begin; i < end; ++i) {
+        const LocalVertexId v = static_cast<LocalVertexId>(i);
+        if (InitiallyActiveFresh(program, part.vertex(v), identity)) {
+          ++count;
+        }
+      }
+      total.fetch_add(count, std::memory_order_relaxed);
+    });
     job.footprint_[p] = total.load(std::memory_order_relaxed);
   }
 }
@@ -272,13 +251,12 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
     auto states = job.table_.partition(p);
     // This fill (and the initial activity sweep over it) is what InitiallyActiveFresh
     // mirrors for admission footprints — change them together.
-    SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-               part.num_local_vertices(), [&](size_t begin, size_t end) {
-                 for (size_t v = begin; v < end; ++v) {
-                   states[v] = program.InitialState(part.vertex(static_cast<LocalVertexId>(v)));
-                   states[v].delta_next = identity;  // Acc must start at its identity.
-                 }
-               });
+    pool_->ForEachChunk(part.num_local_vertices(), kSweepGrain, [&](size_t begin, size_t end) {
+      for (size_t v = begin; v < end; ++v) {
+        states[v] = program.InitialState(part.vertex(static_cast<LocalVertexId>(v)));
+        states[v].delta_next = identity;  // Acc must start at its identity.
+      }
+    });
   }
   const uint64_t active = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false,
                                           /*initial=*/true);
@@ -511,29 +489,28 @@ uint32_t JobManager::SweepPartitionActivity(Job& job, const GraphPartition& part
   auto states = job.table_.partition(p);
   DynamicBitset& active = job.active_[p];
   active.ClearAll();
-  // Chunk results are order-independent — the count is an integer sum and SweepRange's
-  // word-aligned grains keep concurrent Set() calls in disjoint bitmask words — so the
+  // Chunk results are order-independent — the count is an integer sum and kSweepGrain's
+  // word-aligned chunks keep concurrent Set() calls in disjoint bitmask words — so the
   // parallel sweep is bit-identical to the serial one.
   std::atomic<uint32_t> total{0};
-  SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-             part.num_local_vertices(), [&](size_t begin, size_t end) {
-               uint32_t count = 0;
-               for (size_t i = begin; i < end; ++i) {
-                 const LocalVertexId v = static_cast<LocalVertexId>(i);
-                 if (swap_buffers) {
-                   states[v].delta = states[v].delta_next;
-                   states[v].delta_next = identity;
-                 }
-                 const bool is_active = initial
-                                            ? program.InitiallyActive(part.vertex(v), states[v])
-                                            : program.IsActive(states[v]);
-                 if (is_active) {
-                   active.Set(v);
-                   ++count;
-                 }
-               }
-               total.fetch_add(count, std::memory_order_relaxed);
-             });
+  pool_->ForEachChunk(part.num_local_vertices(), kSweepGrain, [&](size_t begin, size_t end) {
+    uint32_t count = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const LocalVertexId v = static_cast<LocalVertexId>(i);
+      if (swap_buffers) {
+        states[v].delta = states[v].delta_next;
+        states[v].delta_next = identity;
+      }
+      const bool is_active = initial
+                                 ? program.InitiallyActive(part.vertex(v), states[v])
+                                 : program.IsActive(states[v]);
+      if (is_active) {
+        active.Set(v);
+        ++count;
+      }
+    }
+    total.fetch_add(count, std::memory_order_relaxed);
+  });
   return total.load(std::memory_order_relaxed);
 }
 

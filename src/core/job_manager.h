@@ -27,6 +27,7 @@
 #ifndef SRC_CORE_JOB_MANAGER_H_
 #define SRC_CORE_JOB_MANAGER_H_
 
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -47,8 +48,14 @@ namespace cgraph {
 
 class JobManager {
  public:
+  // Chunk size of the per-vertex bookkeeping sweeps (job init, activity refresh). A
+  // multiple of 64, so concurrent DynamicBitset::Set calls from different chunks always
+  // land in disjoint words. ThreadPool::ForEachChunk pools a sweep only when it covers
+  // two chunks (8192 vertices); below that, dispatch costs more than the sweep.
+  static constexpr size_t kSweepGrain = 4096;
+
   // `layout`, `table`, `scheduler`, and `pool` are borrowed from the engine and must
-  // outlive this. `pool` may be null: every bookkeeping sweep then runs inline.
+  // outlive this.
   JobManager(const PartitionedGraph& layout, GlobalTable* table, Scheduler* scheduler,
              ThreadPool* pool, const EngineOptions& options);
 
@@ -224,9 +231,8 @@ class JobManager {
   void ComputeFootprint(Job& job) CGRAPH_REQUIRES_DRIVER;
 
   // Per-vertex activity sweep of one partition: optional delta double-buffer swap, then
-  // active-mask rebuild. Returns the partition's active count. Dispatches through the
-  // pool's batch primitive in word-aligned chunks when the partition is at least
-  // EngineOptions::parallel_sweep_threshold vertices (results are order-independent:
+  // active-mask rebuild. Returns the partition's active count. Dispatches through
+  // ThreadPool::ForEachChunk in kSweepGrain chunks (results are order-independent:
   // integer counts and disjoint bitmask words).
   uint32_t SweepPartitionActivity(Job& job, const GraphPartition& part, PartitionId p,
                                   bool swap_buffers, bool initial) CGRAPH_REQUIRES_DRIVER;

@@ -70,21 +70,19 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
   if (n_words == 0 || batch.empty()) {
     return;
   }
-  // Small batches run inline: below the active-work threshold, pool dispatch (wake-ups,
+  // Small batches run inline: below kPooledActiveVertices, pool dispatch (wake-ups,
   // cursor traffic, batch open/close) costs more than sweeping the few frontier words on
   // the driver thread. Per-job word order is ascending either way, so modeled metrics
   // and results are identical to the pooled path.
-  if (options_.parallel_trigger_threshold > 0) {
-    uint64_t batch_active = 0;
-    for (const Job* job : batch) {
-      batch_active += job->active_count_[p];
+  uint64_t batch_active = 0;
+  for (const Job* job : batch) {
+    batch_active += job->active_count_[p];
+  }
+  if (batch_active < kPooledActiveVertices) {
+    for (Job* job : batch) {
+      ProcessWords(p, part, job, job->active_[p], 0, n_words);
     }
-    if (batch_active < options_.parallel_trigger_threshold) {
-      for (Job* job : batch) {
-        ProcessWords(p, part, job, job->active_[p], 0, n_words);
-      }
-      return;
-    }
+    return;
   }
   if (options_.straggler_split) {
     // Every worker can steal chunks of any job in the batch: the straggler's remaining

@@ -11,15 +11,16 @@
 // a time (DynamicBitset::ForEachSetBitInWords), chunks are claimed word-aligned from
 // per-job cursors held in a reused member arena, and dispatch goes through
 // ThreadPool::RunBatch — no per-task heap allocation anywhere on the path. Batches whose
-// jobs hold fewer than EngineOptions::parallel_trigger_threshold active vertices run
-// inline on the driver thread instead (dispatch would cost more than the sweep). Cost is
-// proportional to the frontier, not the partition.
+// jobs hold fewer than kPooledActiveVertices active vertices run inline on the driver
+// thread instead (dispatch would cost more than the sweep). Cost is proportional to the
+// frontier, not the partition.
 
 #ifndef SRC_CORE_TRIGGER_STAGE_H_
 #define SRC_CORE_TRIGGER_STAGE_H_
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -36,6 +37,12 @@ namespace cgraph {
 
 class TriggerStage {
  public:
+  // A trigger batch dispatches through the thread pool only when its jobs together hold
+  // at least this many active vertices in the picked partition; smaller batches run
+  // inline on the driver thread — waking workers for a handful of frontier words costs
+  // more than the sweep (the workers=4 < workers=1 regression on small partitions).
+  static constexpr uint64_t kPooledActiveVertices = 4096;
+
   // `pool` and `hierarchy` are borrowed from the engine and must outlive this.
   TriggerStage(ThreadPool* pool, MemoryHierarchy* hierarchy, const EngineOptions& options);
 

@@ -1,31 +1,26 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/common/check.h"
 
 namespace cgraph {
 
 ThreadPool::ThreadPool(size_t num_workers) {
-  if (num_workers == 0) {
-    num_workers = 1;
-  }
-  // Oversubscription cap: a pool asked for more threads than the machine has cores
-  // spawns only core-count threads. The extra threads could never run concurrently, but
-  // each one would still be woken (and then fight for the batch cursor and the mutex) on
-  // every RunBatch — on a single-core host that alone made workers=4 slower than
-  // workers=1 on the throughput bench. hardware_concurrency() may report 0 (unknown);
-  // keep the request untouched then.
+  size_t lanes = std::max<size_t>(num_workers, 1);
+  // Oversubscription cap: a pool asked for more lanes than the machine has cores runs
+  // only core-count lanes. The extra threads could never run concurrently, but each one
+  // would still be woken (and then fight for the batch cursor and the mutex) on every
+  // RunBatch — on a single-core host that alone made workers=4 slower than workers=1 on
+  // the throughput bench. hardware_concurrency() may report 0 (unknown); keep the
+  // request untouched then.
   const size_t hw = std::thread::hardware_concurrency();
-  if (hw > 0 && num_workers > hw) {
-    num_workers = hw;
+  if (hw > 0) {
+    lanes = std::min(lanes, hw);
   }
-  // The RunBatch caller drains indices alongside the workers, so lanes = workers + 1,
-  // still bounded by the core count.
-  parallel_lanes_ = hw > 0 ? std::min(num_workers + 1, hw) : num_workers + 1;
-  threads_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
+  // The RunBatch caller is a lane, so it needs no thread of its own.
+  threads_.reserve(lanes - 1);
+  for (size_t i = 1; i < lanes; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -41,59 +36,12 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.NotifyOne();
-}
-
-void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) {
-    return;
-  }
-  {
-    MutexLock lock(mutex_);
-    for (auto& t : tasks) {
-      queue_.push_back(std::move(t));
-    }
-  }
-  work_available_.NotifyAll();
-
-  // The caller helps drain the queue, then waits for stragglers.
-  MutexLock lock(mutex_);
-  while (true) {
-    if (!queue_.empty()) {
-      auto task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      lock.Unlock();
-      task();
-      lock.Lock();
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) {
-        batch_done_.NotifyAll();
-      }
-      continue;
-    }
-    if (in_flight_ == 0) {
-      return;
-    }
-    batch_done_.Wait(lock, [this]() CGRAPH_REQUIRES(mutex_) {
-      return (queue_.empty() && in_flight_ == 0) || !queue_.empty();
-    });
-  }
-}
-
 void ThreadPool::RunBatch(size_t n_tasks, BatchFn fn) {
   if (n_tasks == 0) {
     return;
   }
   if (n_tasks == 1 || !CanRunConcurrently()) {
-    // Nothing to share — one task, or one core: run inline without touching the mutex.
-    // On single-core hardware a dispatched batch degenerates to the same serial order
-    // plus wake-up/contention overhead, so the inline loop is strictly better.
+    // Nothing to share — one task, or one lane: run inline without touching the mutex.
     for (size_t i = 0; i < n_tasks; ++i) {
       fn(i);
     }
@@ -121,6 +69,21 @@ void ThreadPool::RunBatch(size_t n_tasks, BatchFn fn) {
   });
 }
 
+void ThreadPool::ForEachChunk(size_t n, size_t grain, ChunkFn body) {
+  CGRAPH_CHECK(grain > 0);
+  if (n == 0) {
+    return;
+  }
+  if (n / grain < 2 || !CanRunConcurrently()) {
+    body(0, n);
+    return;
+  }
+  RunBatch((n + grain - 1) / grain, [&](size_t chunk) {
+    const size_t begin = chunk * grain;
+    body(begin, std::min(begin + grain, n));
+  });
+}
+
 void ThreadPool::DrainBatch(BatchFn fn, size_t n_tasks) {
   while (true) {
     const size_t i = batch_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -145,37 +108,20 @@ void ThreadPool::WorkerLoop() {
   MutexLock lock(mutex_);
   while (true) {
     work_available_.Wait(lock, [this, drained_epoch]() CGRAPH_REQUIRES(mutex_) {
-      return shutting_down_ || !queue_.empty() ||
-             (batch_open_ && batch_epoch_ != drained_epoch);
+      return shutting_down_ || (batch_open_ && batch_epoch_ != drained_epoch);
     });
-    if (batch_open_ && batch_epoch_ != drained_epoch) {
-      drained_epoch = batch_epoch_;
-      const BatchFn fn = batch_fn_;
-      const size_t n = batch_size_;
-      ++batch_drainers_;
-      lock.Unlock();
-      DrainBatch(fn, n);
-      lock.Lock();
-      --batch_drainers_;
-      if (batch_drainers_ == 0 && !batch_open_) {
-        batch_done_.NotifyAll();
-      }
-      continue;
+    if (shutting_down_) {
+      return;  // No batch is open: the destructor runs on the only batch-driving thread.
     }
-    if (shutting_down_ && queue_.empty()) {
-      return;
-    }
-    if (queue_.empty()) {
-      continue;  // Woken for a batch already marked drained; re-wait.
-    }
-    auto task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
+    drained_epoch = batch_epoch_;
+    const BatchFn fn = batch_fn_;
+    const size_t n = batch_size_;
+    ++batch_drainers_;
     lock.Unlock();
-    task();
+    DrainBatch(fn, n);
     lock.Lock();
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) {
+    --batch_drainers_;
+    if (batch_drainers_ == 0 && !batch_open_) {
       batch_done_.NotifyAll();
     }
   }

@@ -1,14 +1,13 @@
-// Fixed-size worker pool with a shared task queue and an allocation-free batch primitive.
+// Fixed-size worker pool with one allocation-free dispatch path.
 //
-// One pool is created per executor run with `num_workers` threads (the paper's "workers",
-// one per core). Two dispatch paths exist:
-//
-//  - Submit()/RunAndWait(): type-erased closures through a locked deque. General-purpose,
-//    but every task heap-allocates a std::function and bounces the queue mutex.
-//  - RunBatch(n, fn): the hot path. The n task indices are handed out through a single
-//    atomic cursor; workers and the caller claim indices lock-free and invoke the borrowed
-//    FunctionRef. Nothing is allocated and the mutex is taken only to open/close the
-//    batch, so per-partition trigger dispatch stops serializing on the deque lock.
+// One pool is created per executor run with `num_workers` lanes (the paper's "workers",
+// one per core). The thread that calls RunBatch is one of those lanes, so a pool starts
+// num_workers - 1 threads and a 1-worker pool starts none. RunBatch(n, fn) hands the n
+// task indices out through a single atomic cursor; every lane claims indices lock-free
+// and invokes the borrowed FunctionRef. Nothing is allocated and the mutex is taken only
+// to open and close the batch. ForEachChunk layers the paper's straggler mitigation
+// (section 3.2.3) on top: a range is cut into grains that whichever lane comes free
+// claims next, so a lane stuck on a heavy grain never blocks the others.
 
 #ifndef SRC_RUNTIME_THREAD_POOL_H_
 #define SRC_RUNTIME_THREAD_POOL_H_
@@ -16,8 +15,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -31,43 +28,44 @@ class ThreadPool {
  public:
   // Invoked once per claimed task index in [0, n_tasks).
   using BatchFn = FunctionRef<void(size_t)>;
+  // Invoked once per chunk [begin, end) of a ForEachChunk range.
+  using ChunkFn = FunctionRef<void(size_t, size_t)>;
 
-  // Spawns `num_workers` threads, capped at the hardware concurrency when the platform
-  // reports one: threads beyond the core count cannot run concurrently — they only add
-  // wake-ups, context switches, and cursor contention to every batch. num_workers == 0
-  // is clamped to 1. The cap changes wall clock only; modeled metrics never depend on
-  // how many threads actually execute a batch.
+  // Runs `num_workers` lanes: the RunBatch caller plus num_workers - 1 spawned threads.
+  // num_workers == 0 is clamped to 1. The lane count is capped at the hardware
+  // concurrency when the platform reports one: lanes beyond the core count cannot run
+  // concurrently — they only add wake-ups, context switches, and cursor contention to
+  // every batch. The cap changes wall clock only; modeled metrics never depend on how
+  // many threads actually execute a batch.
   explicit ThreadPool(size_t num_workers);
 
-  // Drains outstanding tasks, then joins all workers.
+  // Joins all workers. Must not be called while a batch runs.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_workers() const { return threads_.size(); }
+  // Lanes a batch can occupy: the spawned threads plus the RunBatch caller.
+  size_t lanes() const { return threads_.size() + 1; }
 
-  // True when a batch dispatched to the pool can actually run on more than one core.
-  // When false (single-core hardware), RunBatch executes the whole index range inline on
-  // the calling thread: waking parked workers that would only time-slice the same core
-  // is pure overhead. Coverage and results are identical either way.
-  bool CanRunConcurrently() const { return parallel_lanes_ > 1; }
-
-  // Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  // Runs all `tasks` on the pool and blocks until every one has finished. The calling
-  // thread also participates by draining the batch, so a 1-worker pool still makes
-  // progress even when called from the single worker context.
-  void RunAndWait(std::vector<std::function<void()>> tasks);
+  // True when a batch can run on more than one lane. When false (a 1-worker pool or
+  // single-core hardware), RunBatch executes the whole index range inline on the calling
+  // thread. Coverage and results are identical either way.
+  bool CanRunConcurrently() const { return lanes() > 1; }
 
   // Invokes fn(i) exactly once for every i in [0, n_tasks), distributing indices to the
   // calling thread and the pool's workers through an atomic cursor. Blocks until every
   // index has been processed; `fn` is borrowed for exactly that long. No per-task
   // allocation. n_tasks <= 1 runs inline without waking anyone. Not reentrant: fn must
-  // not call RunBatch (or RunAndWait) on the same pool, and only one thread may drive
-  // batches at a time — in the engine that is the single LTP driver thread.
+  // not call RunBatch on the same pool, and only one thread may drive batches at a
+  // time — in the engine that is the single LTP driver thread.
   void RunBatch(size_t n_tasks, BatchFn fn);
+
+  // Invokes body(begin, end) over disjoint subranges covering [0, n). Runs inline as
+  // body(0, n) unless n covers at least two grains and the pool can run concurrently;
+  // otherwise each of the ceil(n / grain) grain-sized chunks is one RunBatch task. Does
+  // nothing for n == 0. grain must be positive.
+  void ForEachChunk(size_t n, size_t grain, ChunkFn body);
 
  private:
   void WorkerLoop();
@@ -80,9 +78,6 @@ class ThreadPool {
   Mutex mutex_;
   CondVar work_available_;
   CondVar batch_done_;
-  std::deque<std::function<void()>> queue_ CGRAPH_GUARDED_BY(mutex_);
-  // Tasks popped but not yet finished.
-  size_t in_flight_ CGRAPH_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ CGRAPH_GUARDED_BY(mutex_) = false;
 
   // Batch state. fn/size/epoch are written under mutex_ before the batch opens and read
@@ -100,10 +95,6 @@ class ThreadPool {
   size_t batch_size_ CGRAPH_GUARDED_BY(mutex_) = 0;
   std::atomic<size_t> batch_cursor_{0};
   std::atomic<size_t> batch_completed_{0};
-
-  // Distinct cores a batch can occupy: the spawned workers plus the RunBatch caller,
-  // bounded by the hardware concurrency (computed once at construction).
-  size_t parallel_lanes_ = 1;
 
   std::vector<std::thread> threads_;
 };

@@ -319,18 +319,20 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   }
 }
 
-// Forcing every bookkeeping sweep through the pool's batch dispatch (threshold 0) must
-// not change any modeled metric: counts are integer sums and the active bitmask is
-// written in disjoint words, so chunk order cannot matter.
-TEST(EngineTest, ParallelSweepThresholdZeroMatchesDefault) {
-  const EdgeList edges = GenerateErdosRenyi(500, 4000, 37);
+// The worker count must not change any modeled metric. At one worker every sweep and
+// trigger batch runs inline on the driver thread; at four, this fixture is large enough
+// that bookkeeping sweeps are chunked and trigger batches dispatch through the pool.
+// Counts are integer sums and the active bitmask is written in disjoint words, so chunk
+// order cannot matter.
+TEST(EngineTest, ModeledCsvIsIdenticalAtOneAndFourWorkers) {
+  const EdgeList edges = GenerateErdosRenyi(20000, 100000, 37);
   const VertexId source = PickSourceVertex(edges);
-  const PartitionedGraph pg = Partition(edges, 8);
-  const CostModel cost;
+  const PartitionedGraph pg = Partition(edges, 4);
+  test_support::ExpectReachesPooledDispatch(pg, WccProgram());
 
-  auto run = [&](uint32_t threshold) {
+  auto run = [&](uint32_t workers) {
     EngineOptions options = test_support::TestEngineOptions();
-    options.parallel_sweep_threshold = threshold;
+    options.num_workers = workers;
     LtpEngine engine(&pg, options);
     // Min-accumulator and exact-sum jobs only: deterministic even with 4 workers.
     engine.Submit(std::make_unique<SsspProgram>(source));
@@ -339,14 +341,11 @@ TEST(EngineTest, ParallelSweepThresholdZeroMatchesDefault) {
     engine.Submit(std::make_unique<KCoreProgram>(3));
     engine.RunUntilIdle();
     RunReport report = engine.Report();
-    for (JobStats& job : report.jobs) {
-      job.wall_seconds = 0.0;
-    }
-    report.wall_seconds = 0.0;
-    return RunReportToCsv(report, cost);
+    report.workers = 1;  // Modeled time divides the work by workers; compare the work.
+    return test_support::ModeledCsv(report);
   };
 
-  EXPECT_EQ(run(0), run(test_support::TestEngineOptions().parallel_sweep_threshold));
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(EngineTest, ThetaDominanceSchedulerPrefersMoreJobs) {

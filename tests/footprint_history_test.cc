@@ -183,17 +183,17 @@ TEST(FootprintHistoryEngineTest, CompletedJobsPopulateProfilesAndReleaseTraces) 
 }
 
 TEST(FootprintHistoryEngineTest, ProfilesAreIdenticalAcrossRunsAndWorkerCounts) {
-  const EdgeList edges = GenerateErdosRenyi(400, 3600, 73);
+  const EdgeList edges = GenerateErdosRenyi(20000, 100000, 73);
   const VertexId source = PickSourceVertex(edges);
-  const PartitionedGraph pg = Partition(edges, 8);
-
+  const PartitionedGraph pg = Partition(edges, 4);
   // Profiles are learned from modeled activation traces, so they must not depend on
-  // worker interleaving. Force the pooled bookkeeping sweeps (threshold 0) so the
-  // parallel path really runs at workers > 1.
+  // worker interleaving. The fixture is large enough that at workers > 1 the bookkeeping
+  // sweeps and trigger batches really run on the pool.
+  test_support::ExpectReachesPooledDispatch(pg, PageRankProgram(0.85, 1e-8));
+
   auto profile_dump = [&](uint32_t workers) {
     EngineOptions options = test_support::TestEngineOptions();
     options.admission_policy = AdmissionPolicyKind::kPredict;
-    options.parallel_sweep_threshold = 0;
     options.num_workers = workers;
     options.max_jobs = 2;
     LtpEngine engine(&pg, options);

@@ -1,69 +1,55 @@
-// Unit tests for the thread pool and dynamic-chunk parallel loops.
+// Unit tests for the thread pool: batch dispatch and dynamic-chunk range loops.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
-#include "src/runtime/parallel_for.h"
 #include "src/runtime/thread_pool.h"
 
 namespace cgraph {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.RunAndWait({[&] { counter.fetch_add(1); }});
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, ZeroWorkersClampedToOne) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 1u);
+  EXPECT_EQ(pool.lanes(), 1u);
+  EXPECT_FALSE(pool.CanRunConcurrently());
   std::atomic<int> counter{0};
-  pool.RunAndWait({[&] { counter.fetch_add(1); }});
-  EXPECT_EQ(counter.load(), 1);
+  pool.RunBatch(3, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ThreadPoolTest, RunAndWaitCompletesAllTasks) {
+// The caller is a lane: a 1-worker pool starts no thread, so every batch and every
+// chunked range runs on the calling thread.
+TEST(ThreadPoolTest, OneWorkerPoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.lanes(), 1u);
+  EXPECT_FALSE(pool.CanRunConcurrently());
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t tasks = 0;
+  pool.RunBatch(64, [&](size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++tasks;
+  });
+  EXPECT_EQ(tasks, 64u);
+  size_t chunks = 0;
+  pool.ForEachChunk(100000, 64, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 100000u);
+    ++chunks;
+  });
+  EXPECT_EQ(chunks, 1u);
+}
+
+TEST(ThreadPoolTest, LanesAreCappedAtHardwareConcurrency) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&] { counter.fetch_add(1); });
-  }
-  pool.RunAndWait(std::move(tasks));
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, SequentialBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 10; ++round) {
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 7; ++i) {
-      tasks.push_back([&] { counter.fetch_add(1); });
-    }
-    pool.RunAndWait(std::move(tasks));
-    EXPECT_EQ(counter.load(), (round + 1) * 7);
-  }
-}
-
-TEST(ThreadPoolTest, EmptyBatchReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.RunAndWait({});  // Must not hang.
-}
-
-TEST(ThreadPoolTest, SubmitIsAsynchronousButEventuallyRuns) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  // Drain by running a waiting batch afterwards; the submitted task must have run too
-  // because RunAndWait waits for a globally empty queue.
-  pool.RunAndWait({[] {}});
-  EXPECT_EQ(counter.load(), 1);
+  const size_t hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(pool.lanes(), hw > 0 ? std::min<size_t>(4, hw) : 4u);
+  EXPECT_EQ(pool.CanRunConcurrently(), pool.lanes() > 1);
 }
 
 TEST(ThreadPoolTest, RunBatchCoversAllIndicesExactlyOnce) {
@@ -108,23 +94,11 @@ TEST(ThreadPoolTest, RunBatchManyMoreTasksThanWorkers) {
   EXPECT_EQ(sum.load(), static_cast<uint64_t>(n) * (n - 1) / 2);
 }
 
-TEST(ThreadPoolTest, RunBatchInterleavesWithQueueTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> queued{0};
-  pool.Submit([&] { queued.fetch_add(1); });
-  std::atomic<int> batched{0};
-  pool.RunBatch(50, [&](size_t) { batched.fetch_add(1); });
-  EXPECT_EQ(batched.load(), 50);
-  pool.RunAndWait({[] {}});  // Drain: the queued task must have run by now.
-  EXPECT_EQ(queued.load(), 1);
-}
-
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
+TEST(ForEachChunkTest, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  ParallelForOptions options;
-  options.grain = 64;
-  ParallelFor(pool, hits.size(), options, [&](size_t begin, size_t end) {
+  pool.ForEachChunk(hits.size(), 64, [&](size_t begin, size_t end) {
+    EXPECT_LE(end - begin, 64u);
     for (size_t i = begin; i < end; ++i) {
       hits[i].fetch_add(1);
     }
@@ -134,31 +108,18 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
   }
 }
 
-TEST(ParallelForTest, ZeroElements) {
+TEST(ForEachChunkTest, ZeroElements) {
   ThreadPool pool(2);
   bool called = false;
-  ParallelFor(pool, 0, [&](size_t, size_t) { called = true; });
+  pool.ForEachChunk(0, 1024, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelForTest, NonDynamicRunsInline) {
-  ThreadPool pool(4);
-  ParallelForOptions options;
-  options.dynamic = false;
-  int calls = 0;
-  ParallelFor(pool, 100, options, [&](size_t begin, size_t end) {
-    ++calls;
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 100u);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelForTest, SumMatchesSerial) {
+TEST(ForEachChunkTest, SumMatchesSerial) {
   ThreadPool pool(8);
   const size_t n = 100000;
   std::atomic<uint64_t> total{0};
-  ParallelFor(pool, n, [&](size_t begin, size_t end) {
+  pool.ForEachChunk(n, 1024, [&](size_t begin, size_t end) {
     uint64_t local = 0;
     for (size_t i = begin; i < end; ++i) {
       local += i;
@@ -168,13 +129,42 @@ TEST(ParallelForTest, SumMatchesSerial) {
   EXPECT_EQ(total.load(), n * (n - 1) / 2);
 }
 
-TEST(ParallelForTest, SmallRangeRunsInline) {
+// A range that does not cover two grains is one inline call: dispatch would cost more
+// than the work.
+TEST(ForEachChunkTest, RangeBelowTwoGrainsRunsInline) {
   ThreadPool pool(4);
-  ParallelForOptions options;
-  options.grain = 1024;
-  int calls = 0;
-  ParallelFor(pool, 10, options, [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const size_t n : {size_t{10}, size_t{1024}, size_t{2047}}) {
+    int calls = 0;
+    pool.ForEachChunk(n, 1024, [&](size_t begin, size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, n);
+      ++calls;
+    });
+    EXPECT_EQ(calls, 1) << n;
+  }
+}
+
+// From two grains on, a multi-lane pool cuts the range into grain-sized chunks (the
+// last one short).
+TEST(ForEachChunkTest, TwoGrainsOrMoreAreChunked) {
+  ThreadPool pool(4);
+  if (!pool.CanRunConcurrently()) {
+    GTEST_SKIP() << "single-core host: every range runs inline";
+  }
+  std::atomic<int> calls{0};
+  std::atomic<int> short_chunks{0};
+  pool.ForEachChunk(2 * 1024 + 1, 1024, [&](size_t begin, size_t end) {
+    EXPECT_EQ(begin % 1024, 0u);
+    if (end - begin < 1024) {
+      EXPECT_EQ(end - begin, 1u);
+      short_chunks.fetch_add(1);
+    }
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_EQ(short_chunks.load(), 1);
 }
 
 }  // namespace

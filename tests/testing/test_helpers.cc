@@ -6,7 +6,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/core/job_manager.h"
+#include "src/core/trigger_stage.h"
 #include "src/metrics/csv_writer.h"
+#include "src/storage/vertex_state.h"
 
 namespace cgraph {
 namespace test_support {
@@ -48,6 +51,21 @@ std::string ReadGolden(const std::string& name) {
   std::ostringstream content;
   content << in.rdbuf();
   return content.str();
+}
+
+void ExpectReachesPooledDispatch(const PartitionedGraph& pg, const VertexProgram& program) {
+  for (PartitionId p = 0; p < pg.num_partitions(); ++p) {
+    const GraphPartition& part = pg.partition(p);
+    EXPECT_GE(part.num_local_vertices(), 2 * JobManager::kSweepGrain) << "partition " << p;
+    // The engine's first activity sweep evaluates InitiallyActive over this state.
+    uint64_t initially_active = 0;
+    for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
+      VertexState state = program.InitialState(part.vertex(v));
+      state.delta_next = AccIdentity(program.acc_kind());
+      initially_active += program.InitiallyActive(part.vertex(v), state) ? 1 : 0;
+    }
+    EXPECT_GE(initially_active, TriggerStage::kPooledActiveVertices) << "partition " << p;
+  }
 }
 
 }  // namespace test_support

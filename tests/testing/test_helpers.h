@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "src/core/engine_options.h"
+#include "src/core/vertex_program.h"
 #include "src/metrics/run_report.h"
+#include "src/partition/partitioned_graph.h"
 
 namespace cgraph {
 namespace test_support {
@@ -31,6 +33,13 @@ std::string ModeledCsv(RunReport report);
 // Contents of tests/golden/<name> in the source tree; fails the calling test when the
 // file is missing.
 std::string ReadGolden(const std::string& name);
+
+// Checks that a fixture reaches the thread pool from the engine's first iteration:
+// every partition of `pg` covers two JobManager::kSweepGrain chunks, so its bookkeeping
+// sweeps are chunked, and `program`'s initial frontier in every partition alone reaches
+// TriggerStage::kPooledActiveVertices, so every trigger batch holding the job
+// dispatches. Tests that compare worker counts use it to prove the pooled paths ran.
+void ExpectReachesPooledDispatch(const PartitionedGraph& pg, const VertexProgram& program);
 
 }  // namespace test_support
 }  // namespace cgraph

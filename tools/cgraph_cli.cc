@@ -291,7 +291,8 @@ std::vector<Flag> Flags(CliOptions* o) {
       Enum("--partitioner", "even_edge|hash_source|greedy|degree",
            &o->partition.partitioner, ParsePartitionerName, PartitionerKindName, kAny,
            "edge-placement strategy (docs/partitioning.md)"),
-      Count("--workers", &e.num_workers, kAny, "worker threads", 1, k16Bit),
+      Count("--workers", &e.num_workers, kAny,
+            "worker lanes: the driver thread plus N-1 pool threads", 1, k16Bit),
       Count("--source", &o->source, kAny,
             "traversal source (default: lowest positive out-degree; a hub fans out wide)",
             0, kInvalidVertex - 1),
@@ -299,10 +300,6 @@ std::vector<Flag> Flags(CliOptions* o) {
            "scale Eq. 1's theta; 0 = pure N(P) ordering", 0.0, 1.0),
       Switch("--no-straggler", &e.straggler_split, false, kAny,
              "one trigger task per job: no intra-partition chunk stealing"),
-      Count("--sweep-threshold", &e.parallel_sweep_threshold, kAny,
-            "min partition vertices for pooled bookkeeping sweeps; 0 = always pooled"),
-      Count("--trigger-threshold", &e.parallel_trigger_threshold, kAny,
-            "min active vertices for a pooled trigger batch; 0 = always pooled"),
       Text("--csv", &o->csv_path, kAny, "also write the report as CSV"),
 
       {"--arrivals", "JOB@STEP,...", kCgraph,
